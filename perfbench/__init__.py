@@ -1,0 +1,1 @@
+"""The end-to-end benchmark (run it with ``python3 perfbench/run.py``)."""
