@@ -625,6 +625,27 @@ class ChainSnapshotStore(SnapshotStore):
             self._facts_loaded = True
 
 
+def _chain_base_dir(directory: Path, chain: dict[str, Any]) -> Path:
+    return directory if chain["base"] == "." else directory / chain["base"]
+
+
+def _chain_parts(
+    directory: Path, chain: dict[str, Any]
+) -> list[tuple[Path, list[tuple[str, str, str]]]]:
+    """``(delta directory, removed fact keys)`` per chained delta, in order."""
+    parts: list[tuple[Path, list[tuple[str, str, str]]]] = []
+    for info in chain["deltas"]:
+        delta_dir = directory / info["dir"]
+        if not (delta_dir / MANIFEST_NAME).exists():
+            raise StoreError(
+                f"chain references missing delta: {delta_dir} "
+                "(crash-orphaned chains never reference unwritten deltas)"
+            )
+        extra = read_manifest(delta_dir, kind=DELTA_KIND).get("extra", {})
+        parts.append((delta_dir, [tuple(key) for key in extra.get("removed", ())]))
+    return parts
+
+
 def load_chain_snapshot(
     directory: str | Path,
     *,
@@ -650,7 +671,7 @@ def load_chain_snapshot(
     chain = read_chain(directory)
     if chain is None:
         raise StoreError(f"not a chained bundle: {directory} (missing {CHAIN_NAME})")
-    base_dir = directory if chain["base"] == "." else directory / chain["base"]
+    base_dir = _chain_base_dir(directory, chain)
     if not (base_dir / SNAPSHOT_MANIFEST).exists():
         raise StoreError(f"chain base missing: {base_dir}")
     base = load_plain_snapshot(
@@ -666,37 +687,26 @@ def load_chain_snapshot(
         base.directory = directory
         return base
 
-    parts: list[tuple[Path, list[tuple[str, str, str]]]] = []
+    parts = _chain_parts(directory, chain)
     payloads: list[DeltaPayload] = []
     physical_ok = True
-    for info in chain["deltas"]:
-        delta_dir = directory / info["dir"]
-        if not (delta_dir / MANIFEST_NAME).exists():
-            raise StoreError(
-                f"chain references missing delta: {delta_dir} "
-                "(crash-orphaned chains never reference unwritten deltas)"
-            )
-        manifest = read_manifest(delta_dir, kind=DELTA_KIND)
-        extra = manifest.get("extra", {})
-        parts.append(
-            (delta_dir, [tuple(key) for key in extra.get("removed", ())])
-        )
-        if physical_ok:
-            try:
-                payloads.append(
-                    load_delta(
-                        delta_dir,
-                        expected_store_version=int(info["store_version"]),
-                        mmap=mmap,
-                        verify=verify,
-                    )
+    for info, (delta_dir, _removed) in zip(chain["deltas"], parts):
+        try:
+            payloads.append(
+                load_delta(
+                    delta_dir,
+                    expected_store_version=int(info["store_version"]),
+                    mmap=mmap,
+                    verify=verify,
                 )
-            except SnapshotStaleError:
-                # Stale delta manifest: drop every physical overlay (the
-                # chain's array view is no longer coherent) but keep the
-                # logical replay — consumers rebuild silently.
-                physical_ok = False
-                payloads = []
+            )
+        except SnapshotStaleError:
+            # Stale delta manifest: drop every physical overlay (the
+            # chain's array view is no longer coherent) but keep the
+            # logical replay — consumers rebuild silently.
+            physical_ok = False
+            payloads = []
+            break
 
     tip = chain_tip_version(chain)
     store = ChainSnapshotStore(
@@ -849,13 +859,13 @@ class GenerationPublisher:
         self._ctx_dim = int(ctx_extra.get("dim", 256))
         self._ctx_neighbor_limit = int(ctx_extra.get("neighbor_limit", 16))
         self._alias_extra = snapshot.alias[2] if snapshot.alias is not None else {}
-        self._reset_alias_bookkeeping()
+        self._reset_alias_bookkeeping(self.store)
 
-    def _reset_alias_bookkeeping(self) -> None:
+    def _reset_alias_bookkeeping(self, store: TripleStore) -> None:
         self._entity_pos: dict[str, int] = {}
         self._surface_keys: dict[str, tuple[str, ...]] = {}
         self._key_entities: dict[str, dict[str, None]] = {}
-        for position, record in enumerate(self.store.entities()):
+        for position, record in enumerate(store.entities()):
             self._entity_pos[record.entity] = position
             keys = self._record_keys(record)
             self._surface_keys[record.entity] = keys
@@ -1253,6 +1263,17 @@ class GenerationPublisher:
         if self.metrics is not None:
             self.metrics.incr("publisher.compactions_scheduled")
 
+    def _published_store(self) -> ChainSnapshotStore:
+        """The published tip's logical store, replayed from the bundle's
+        fact logs (no physical layer is loaded)."""
+        chain = self._chain
+        return ChainSnapshotStore(
+            _chain_base_dir(self.bundle_dir, chain),
+            parts=_chain_parts(self.bundle_dir, chain),
+            name=self.store.name,
+            pinned_version=chain_tip_version(chain),
+        )
+
     def join_compaction(self, timeout: float | None = None) -> bool:
         """Wait for any in-flight background compaction to finish.
 
@@ -1279,19 +1300,29 @@ class GenerationPublisher:
         """Fold the chain into a fresh base (publishes pending changes too).
 
         Synchronous: drains any in-flight background compaction first,
-        then folds whatever remains inline on the calling thread.
+        then publishes what is pending and folds the chain inline on the
+        calling thread.
         """
         self.join_compaction()
         with self._lock:
             with tracing.span(
                 "publisher.compact", bundle=str(self.bundle_dir)
             ):
+                self._publish_locked()
                 return self._compact_locked()
 
     def _compact_locked(self) -> GenerationInfo:
+        """Fold the published chain into a fresh base at its tip version.
+
+        The fold reads the chain back from the bundle, never the live
+        store: the owner mutates its store without the publisher lock, so
+        a fold of the live store could save a base whose version disagrees
+        with its directory name.  Facts recorded after the tip stay
+        pending for the next publish.
+        """
         from repro.kg.graph_engine import GraphEngine
 
-        store = self.store
+        store = self._published_store()
         version = store.version
         started = time.perf_counter()
         base_rel = f"{BASES_DIR}/base-{version:08d}"
@@ -1309,9 +1340,7 @@ class GenerationPublisher:
         # the fresh build's dictionary replaces the chain-grown one (its
         # id order is the fresh-build order from here on).
         self._dictionary = csr.dictionary
-        self._reset_alias_bookkeeping()
-        self._pending_keys.clear()
-        self._pending_entities.clear()
+        self._reset_alias_bookkeeping(store)
         self._prune_stale_dirs(keep=base_rel)
         if self.metrics is not None:
             self.metrics.incr("publisher.compactions")

@@ -115,20 +115,8 @@ def encode_request(
 
 def decode_request(data: bytes | str) -> Request:
     """Parse a request envelope; raises :class:`ProtocolError` on bad input."""
-    request, _ = decode_request_with_context(data)
+    request, _context, _tenant = decode_request_envelope(data)
     return request
-
-
-def decode_request_with_context(
-    data: bytes | str,
-) -> "tuple[Request, tracing.TraceContext | None]":
-    """Like :func:`decode_request`, also extracting the ``trace`` field.
-
-    A missing or malformed ``trace`` field yields ``None`` — trace
-    context is advisory and must never fail the request carrying it.
-    """
-    request, context, _tenant = decode_request_envelope(data)
-    return request, context
 
 
 def decode_request_envelope(
@@ -136,6 +124,8 @@ def decode_request_envelope(
 ) -> "tuple[Request, tracing.TraceContext | None, str | None]":
     """Full envelope decode: ``(request, trace_context, tenant)``.
 
+    A missing or malformed ``trace`` field yields ``None`` — trace
+    context is advisory and must never fail the request carrying it.
     Unlike trace context, a *present but malformed* ``tenant`` field is a
     hard ``bad_request``: routing a tenant-scoped request to the shared
     graph (or to a path-traversal directory name) on a typo would be an

@@ -39,7 +39,7 @@ error.  Per-shard circuit breakers fail persistent offenders fast;
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -67,7 +67,6 @@ from repro.serving.requests import (
     Request,
     Response,
     SimilarityRequest,
-    TenantDeleteRequest,
     TenantSyncRequest,
     TenantUpsertRequest,
     VerifyRequest,
@@ -83,7 +82,12 @@ from repro.serving.resilience import (
     error_fields,
 )
 from repro.serving.router import DEFAULT_NUM_SHARDS, ShardRouter
-from repro.serving.tenancy import TENANT_READ_TYPES, TenantNotFound, TenantRegistry
+from repro.serving.tenancy import (
+    TENANT_READ_TYPES,
+    TenantNotFound,
+    TenantRegistry,
+    TenantState,
+)
 from repro.serving.worker import WORKER_MODES, WorkerConfig, WorkerPool
 
 FULL_TIER = "full"
@@ -270,13 +274,15 @@ class ServingService:
         error instead (with the original exception attached in-process
         for delegating wrappers).
 
-        ``tenant`` scopes the request to one tenant's overlay graph:
-        walks and neighborhoods answer over shared + personal facts, and
+        ``tenant`` scopes the request to one tenant's overlay graph, on
+        the same pipeline as every other request: a tenant is an engine
+        plus a cache namespace.  Walks and neighborhoods answer over the
+        leased tenant's overlay engine and cache under
+        ``(tenant, tenant_version)`` (with the same stale fallback), and
         the tenant write/sync family applies to that tenant's durable
-        store.  Tenant work never reaches the shared worker fleet — it
-        dispatches to the :class:`TenantRegistry` here, before pool
-        fan-out (isolation is enforced at dispatch, and again by the
-        workers, which reject the family outright).
+        store.  Tenant work never reaches the shared worker fleet
+        (isolation is enforced at dispatch, and again by the workers,
+        which reject the family outright).
 
         Generation swaps drop zero requests: a request whose captured
         pool was shut down mid-flight by ``adopt_generation`` re-dispatches
@@ -328,37 +334,62 @@ class ServingService:
                 timings=timings,
             )
         wire_type = type(request).wire_type
+
+        def respond(status: str, payload, **fields) -> Response:
+            timings["total_ms"] = _ms_since(started)
+            return response_class(wire_type)(
+                request_type=wire_type,
+                status=status,
+                store_version=version,
+                payload=payload,
+                timings=timings,
+                **fields,
+            )
+
+        def fail(code: str, message: str, exception: BaseException | None = None):
+            self.metrics.incr("serve.errors")
+            self.metrics.incr(f"serve.errors.{type_name}")
+            timings["total_ms"] = _ms_since(started)
+            return error_response(
+                wire_type, version, code, message, timings=timings, exception=exception
+            )
+
+        scope = nullcontext()
         if tenant is not None or isinstance(request, TENANT_REQUEST_TYPES):
-            return self._serve_tenant(request, tenant, started, timings, epoch)
+            rejection = self._tenant_rejection(request, tenant)
+            if rejection is not None:
+                return fail(*rejection)
+            if isinstance(request, TENANT_READ_TYPES):
+                # The lease pins the tenant's version (the cache namespace)
+                # against eviction across the cache probe and the compute.
+                scope = self._tenants.lease(tenant)
         resilience: dict[str, float] = {}
         cacheable = False
+        tenant_key = None
         # Everything after type dispatch sits under one except: even a
         # hostile request object (mistyped fields that defeat hashing in
         # the cache probe — the wire codec rejects those, but serve() is
         # also a public in-process API) must come back as an envelope.
         try:
-            cacheable = request.cacheable()
-            if cacheable:
-                with _stage(timings, "cache_ms", "serve.cache") as cache_span:
-                    cached = self._cache.get(version, request)
-                    cache_span.set_attribute("hit", cached is not None)
-                if cached is not None:
-                    timings["total_ms"] = _ms_since(started)
-                    return response_class(wire_type)(
-                        request_type=wire_type,
-                        status=STATUS_OK,
-                        store_version=version,
-                        payload=cached,
-                        timings=timings,
-                        cached=True,
+            with scope as state:
+                if state is not None:
+                    tenant_key = (tenant, state.version)
+                cacheable = request.cacheable()
+                if cacheable:
+                    with _stage(timings, "cache_ms", "serve.cache") as cache_span:
+                        cached = self._cache.get(version, request, tenant=tenant_key)
+                        cache_span.set_attribute("hit", cached is not None)
+                    if cached is not None:
+                        return respond(STATUS_OK, cached, cached=True)
+                with self.metrics.hist_timed(
+                    "serve.latency"
+                ), self.metrics.hist_timed(f"serve.latency.{type_name}"):
+                    payload = self._execute(
+                        request, pool, router, timings, resilience, tenant, state
                     )
-            with self.metrics.hist_timed("serve.latency"), self.metrics.hist_timed(
-                f"serve.latency.{type_name}"
-            ):
-                payload = self._execute(request, pool, router, timings, resilience)
             if cacheable:
                 if epoch == self._swap_epoch:
-                    self._cache.put(version, request, payload)
+                    self._cache.put(version, request, payload, tenant=tenant_key)
                 else:
                     # A generation swap landed mid-request: parts of this
                     # result (e.g. a micro-batched annotate flush, which
@@ -366,62 +397,51 @@ class ServingService:
                     # fleet.  Skipping the write is always safe; the cache
                     # itself also refuses cross-generation writes.
                     self.metrics.incr("serve.swap_races")
-        except PartialResultError as exc:
-            if pool is not self._pool and _swap_retries > 0:
-                # The failure happened across a generation swap (the old
-                # pool may have shut down under us): re-dispatch on the
-                # new generation rather than degrade a healthy fleet.
-                self.metrics.incr("serve.swap_retries")
-                return self._serve_impl(request, _swap_retries - 1)
-            # Graceful degradation: the healthy shards' answers go out with
-            # None holes at the failed entities, plus the terminal error —
-            # a partial answer beats a 500 for a read-only KG lookup.
-            self.metrics.incr("serve.degraded")
-            self.metrics.incr(f"serve.degraded.{type_name}")
-            timings["total_ms"] = _ms_since(started)
-            retryable, exception_type = error_fields(exc.cause)
-            return response_class(wire_type)(
-                request_type=wire_type,
-                status=STATUS_DEGRADED,
-                store_version=version,
-                payload=exc.payload,
-                timings=timings,
-                error=ErrorInfo(
-                    code=ERROR_UNAVAILABLE,
-                    message=str(exc),
-                    retryable=retryable,
-                    exception_type=exception_type,
-                ),
-                resilience={
-                    **resilience,
-                    "attempts": float(exc.attempts),
-                    "failed_entities": float(len(exc.failed_positions)),
-                },
-                exception=exc.cause,
-            )
+        except TenantNotFound as exc:
+            return fail(ERROR_BAD_REQUEST, str(exc), exc)
         except Exception as exc:
             if pool is not self._pool and _swap_retries > 0:
-                # Lost the race with adopt_generation outright — the old
-                # pool is gone.  Zero dropped requests: retry on the new
-                # generation instead of answering unavailable.
+                # Lost the race with adopt_generation (the old pool may have
+                # shut down under us): re-dispatch the same request, for the
+                # same tenant, on the new generation — zero dropped
+                # requests, and no partial answer from a healthy fleet.
                 self.metrics.incr("serve.swap_retries")
-                return self._serve_impl(request, _swap_retries - 1)
+                return self._serve_impl(request, _swap_retries - 1, tenant)
+            if isinstance(exc, PartialResultError):
+                # Graceful degradation: the healthy shards' answers go out
+                # with None holes at the failed entities, plus the terminal
+                # error — a partial answer beats a 500 for a KG lookup.
+                self.metrics.incr("serve.degraded")
+                self.metrics.incr(f"serve.degraded.{type_name}")
+                retryable, exception_type = error_fields(exc.cause)
+                return respond(
+                    STATUS_DEGRADED,
+                    exc.payload,
+                    error=ErrorInfo(
+                        code=ERROR_UNAVAILABLE,
+                        message=str(exc),
+                        retryable=retryable,
+                        exception_type=exception_type,
+                    ),
+                    resilience={
+                        **resilience,
+                        "attempts": float(exc.attempts),
+                        "failed_entities": float(len(exc.failed_positions)),
+                    },
+                    exception=exc.cause,
+                )
             if self.resilient and cacheable:
                 # Serve-stale-on-error: fresh compute is gone past its
                 # budget, but a previous generation answered this exact
-                # request — degraded beats unavailable.
-                stale = self._cache.get_stale(request)
+                # request (for this tenant) — degraded beats unavailable.
+                stale = self._cache.get_stale(request, tenant=tenant_key)
                 if stale is not None:
                     stale_version, stale_payload = stale
                     self.metrics.incr("serve.stale_served")
-                    timings["total_ms"] = _ms_since(started)
                     retryable, exception_type = error_fields(exc)
-                    return response_class(wire_type)(
-                        request_type=wire_type,
-                        status=STATUS_DEGRADED,
-                        store_version=version,
-                        payload=stale_payload,
-                        timings=timings,
+                    return respond(
+                        STATUS_DEGRADED,
+                        stale_payload,
                         cached=True,
                         error=ErrorInfo(
                             code=ERROR_UNAVAILABLE,
@@ -436,26 +456,31 @@ class ServingService:
                         },
                         exception=exc,
                     )
-            self.metrics.incr("serve.errors")
-            self.metrics.incr(f"serve.errors.{type_name}")
-            timings["total_ms"] = _ms_since(started)
-            return error_response(
-                wire_type,
-                version,
-                ERROR_INTERNAL,
-                f"{type(exc).__name__}: {exc}",
-                timings=timings,
-                exception=exc,
+            return fail(ERROR_INTERNAL, f"{type(exc).__name__}: {exc}", exc)
+        return respond(STATUS_OK, payload, resilience=resilience)
+
+    def _tenant_rejection(
+        self, request: Request, tenant: str | None
+    ) -> tuple[str, str] | None:
+        """``(code, message)`` when a tenant-scoped request cannot be served.
+
+        Unknown tenants are rejected by the lease itself (``TenantNotFound``).
+        """
+        type_name = type(request).__name__
+        if self._tenants is None:
+            return (
+                ERROR_UNAVAILABLE,
+                "multi-tenant serving is not enabled (no tenants_dir configured)",
             )
-        timings["total_ms"] = _ms_since(started)
-        return response_class(wire_type)(
-            request_type=wire_type,
-            status=STATUS_OK,
-            store_version=version,
-            payload=payload,
-            timings=timings,
-            resilience=resilience,
-        )
+        if tenant is None:
+            return ERROR_BAD_REQUEST, f"{type_name} requires a tenant envelope field"
+        if not isinstance(request, TENANT_REQUEST_TYPES + TENANT_READ_TYPES):
+            return (
+                ERROR_BAD_REQUEST,
+                f"{type_name} cannot be tenant-scoped "
+                "(only walks and neighborhoods answer over overlays)",
+            )
+        return None
 
     def _execute(
         self,
@@ -464,8 +489,32 @@ class ServingService:
         router: ShardRouter,
         timings: dict[str, float],
         resilience: dict[str, float],
+        tenant: str | None = None,
+        state: TenantState | None = None,
     ) -> list:
-        """Compute one request's payload under its dispatch policy."""
+        """Compute one request's payload under its dispatch policy.
+
+        A tenant read answers over the leased ``state``'s overlay engine;
+        tenant writes apply to the tenant's durable store.  Neither ever
+        reaches the shared worker fleet.
+        """
+        if tenant is not None:
+            registry = self._tenants
+            with _stage(timings, "compute_ms", "serve.tenant", tenant=tenant):
+                if state is not None:
+                    return registry.execute_on(state.engine(registry.base()), request)
+                if isinstance(request, TenantUpsertRequest):
+                    return registry.upsert(tenant, request.records)
+                if isinstance(request, TenantSyncRequest):
+                    return registry.sync(
+                        tenant,
+                        records=request.records,
+                        tombstones=request.tombstones,
+                        epsilon=request.epsilon,
+                    )
+                return registry.delete(
+                    tenant, request.source, request.record_id, request.sequence
+                )
         if isinstance(request, AnnotateRequest):
             return self._execute_annotate(request, pool, timings)
         if type(request).splittable:
@@ -478,128 +527,6 @@ class ServingService:
             else:
                 payload = pool.submit(request).result()
         return payload
-
-    def _serve_tenant(
-        self,
-        request: Request,
-        tenant: str | None,
-        started: float,
-        timings: dict[str, float],
-        epoch: int,
-    ) -> Response:
-        """Dispatch for everything tenant-scoped (reads, writes, syncs).
-
-        Writes ride the tenant's own :class:`GenerationPublisher` (a ~ms
-        delta publish); reads answer over the tenant overlay engine and
-        cache under ``(store_version, (tenant, tenant_version), request)``
-        — a tenant write structurally invalidates that tenant's entries
-        (new ``tenant_version``) without touching anyone else's, and a
-        shared generation swap invalidates everyone's (new
-        ``store_version``), exactly like tenantless entries.
-        """
-        version = self.store_version
-        wire_type = type(request).wire_type
-        type_name = type(request).__name__
-        registry = self._tenants
-
-        def fail(code: str, message: str, exception: BaseException | None = None):
-            self.metrics.incr("serve.errors")
-            self.metrics.incr(f"serve.errors.{type_name}")
-            timings["total_ms"] = _ms_since(started)
-            return error_response(
-                wire_type, version, code, message,
-                timings=timings, exception=exception,
-            )
-
-        if registry is None:
-            return fail(
-                ERROR_UNAVAILABLE,
-                "multi-tenant serving is not enabled (no tenants_dir configured)",
-            )
-        if tenant is None:
-            return fail(
-                ERROR_BAD_REQUEST,
-                f"{type_name} requires a tenant envelope field",
-            )
-        try:
-            if isinstance(request, TENANT_REQUEST_TYPES):
-                with _stage(timings, "compute_ms", "serve.tenant", tenant=tenant):
-                    if isinstance(request, TenantUpsertRequest):
-                        payload = registry.upsert(tenant, request.records)
-                    elif isinstance(request, TenantSyncRequest):
-                        payload = registry.sync(
-                            tenant,
-                            records=request.records,
-                            tombstones=request.tombstones,
-                            epsilon=request.epsilon,
-                        )
-                    elif isinstance(request, TenantDeleteRequest):
-                        payload = registry.delete(
-                            tenant,
-                            request.source,
-                            request.record_id,
-                            request.sequence,
-                        )
-                    else:  # pragma: no cover - family and branch move together
-                        raise TypeError(f"unhandled tenant request: {type_name}")
-                timings["total_ms"] = _ms_since(started)
-                return response_class(wire_type)(
-                    request_type=wire_type,
-                    status=STATUS_OK,
-                    store_version=version,
-                    payload=payload,
-                    timings=timings,
-                )
-            if not isinstance(request, TENANT_READ_TYPES):
-                return fail(
-                    ERROR_BAD_REQUEST,
-                    f"{type_name} cannot be tenant-scoped "
-                    "(only walks and neighborhoods answer over overlays)",
-                )
-            # One registry round-trip: the leased state yields the
-            # tenant_version the cache key needs and stays pinned against
-            # eviction for the whole read; the overlay engine is captured
-            # lazily so cache hits never pay for it.
-            with registry.lease(tenant) as state:
-                tenant_key = (tenant, state.version)
-                cacheable = request.cacheable()
-                if cacheable:
-                    with _stage(timings, "cache_ms", "serve.cache") as cache_span:
-                        cached = self._cache.get(version, request, tenant=tenant_key)
-                        cache_span.set_attribute("hit", cached is not None)
-                    if cached is not None:
-                        timings["total_ms"] = _ms_since(started)
-                        return response_class(wire_type)(
-                            request_type=wire_type,
-                            status=STATUS_OK,
-                            store_version=version,
-                            payload=cached,
-                            timings=timings,
-                            cached=True,
-                        )
-                with self.metrics.hist_timed(
-                    "serve.latency"
-                ), self.metrics.hist_timed(f"serve.latency.{type_name}"):
-                    with _stage(
-                        timings, "compute_ms", "serve.tenant", tenant=tenant
-                    ):
-                        payload = registry.execute_on(
-                            state.engine(registry.base()), request
-                        )
-            if cacheable and epoch == self._swap_epoch:
-                self._cache.put(version, request, payload, tenant=tenant_key)
-        except TenantNotFound as exc:
-            return fail(ERROR_BAD_REQUEST, str(exc), exc)
-        except Exception as exc:
-            return fail(ERROR_INTERNAL, f"{type(exc).__name__}: {exc}", exc)
-        timings["total_ms"] = _ms_since(started)
-        return response_class(wire_type)(
-            request_type=wire_type,
-            status=STATUS_OK,
-            store_version=version,
-            payload=payload,
-            timings=timings,
-        )
 
     def _shard_breaker(self, shard: int) -> CircuitBreaker:
         """The (lazily created) circuit breaker guarding ``shard``."""
@@ -967,13 +894,39 @@ class ServingService:
             "breakers": breakers,
         }
 
+    def gauges(self) -> dict[str, float]:
+        """Point-in-time serving state the registry does not hold.
+
+        The one gauge catalogue: :meth:`stats` and the ``/metrics``
+        exposition (:meth:`prometheus_metrics`) both read it.
+        """
+        pool, cache = self._pool, self._cache
+        assert pool is not None
+        gauges = {
+            "serve.store_version": float(pool.store_version),
+            "serve.workers": float(pool.num_workers),
+            "serve.live_workers": float(pool.live_workers()),
+            "serve.shards": float(self.num_shards),
+            "serve.cache_entries": float(len(cache)),
+            "serve.cache_hits": float(cache.hits),
+            "serve.cache_misses": float(cache.misses),
+            "serve.cache_evictions": float(cache.evictions),
+            "serve.cache_hit_rate": cache.hit_rate,
+            "serve.batch_pending": float(self._batcher.pending),
+        }
+        if self._tenants is not None:
+            gauges["serve.tenants_resident"] = float(self._tenants.resident_count())
+            gauges["serve.tenants_evictions"] = float(self._tenants.evictions)
+        return gauges
+
     def stats(self) -> dict[str, float | str]:
         """Requests, latency, hit rates and fleet shape, flattened.
 
         Per-request-type counters (``counter.serve.requests.<Type>``) and
         latency histograms (``hist.serve.latency.<Type>.p95_s``) ride the
         registry snapshot; ``serve.p95_s``/``serve.p50_s`` surface the
-        overall request-path histogram directly.
+        overall request-path histogram directly, and :meth:`gauges` the
+        point-in-time state.
         """
         out: dict[str, float | str] = dict(self.metrics.snapshot())
         assert self._pool is not None
@@ -991,19 +944,8 @@ class ServingService:
         latency = self.metrics.histograms.get("serve.latency")
         out["serve.p50_s"] = latency.quantile(0.50) if latency is not None else 0.0
         out["serve.p95_s"] = latency.quantile(0.95) if latency is not None else 0.0
-        out["serve.workers"] = float(self._pool.num_workers)
         out["serve.mode"] = self._pool.mode
-        out["serve.shards"] = float(self.num_shards)
-        out["serve.store_version"] = float(self.store_version)
-        out["serve.cache_entries"] = float(len(self._cache))
-        out["serve.cache_hits"] = float(self._cache.hits)
-        out["serve.cache_misses"] = float(self._cache.misses)
-        out["serve.cache_evictions"] = float(self._cache.evictions)
-        out["serve.cache_hit_rate"] = self._cache.hit_rate
-        out["serve.batch_pending"] = float(self._batcher.pending)
-        if self._tenants is not None:
-            out["serve.tenants_resident"] = float(self._tenants.resident_count())
-            out["serve.tenants_evictions"] = float(self._tenants.evictions)
+        out.update(self.gauges())
         return out
 
     def cache_family_stats(self) -> dict[str, dict[str, int]]:
@@ -1034,24 +976,12 @@ class ServingService:
 
         The shared registry (serve/pool/cache/batcher/breaker counters
         and histograms) renders directly; point-in-time state the
-        registry does not hold — cache occupancy and hit counts, fleet
-        width, per-breaker state as one-hot series — rides along as
-        extra gauges.  This is the body of the gateway's ``/metrics``.
+        registry does not hold — the :meth:`gauges` catalogue, plus
+        per-breaker state as one-hot series — rides along as extra
+        gauges.  This is the body of the gateway's ``/metrics``.
         """
         assert self._pool is not None
-        extra: dict[str, float] = {
-            "serve.store_version": float(self.store_version),
-            "serve.cache_entries": float(len(self._cache)),
-            "serve.cache_hits": float(self._cache.hits),
-            "serve.cache_misses": float(self._cache.misses),
-            "serve.cache_evictions": float(self._cache.evictions),
-            "serve.workers": float(self._pool.num_workers),
-            "serve.live_workers": float(self._pool.live_workers()),
-            "serve.shards": float(self.num_shards),
-            "serve.batch_pending": float(self._batcher.pending),
-        }
-        if self._tenants is not None:
-            extra["serve.tenants_resident"] = float(self._tenants.resident_count())
+        extra = self.gauges()
         tracer = tracing.active()
         if tracer is not None:
             for key, value in tracer.counters().items():

@@ -60,7 +60,7 @@ from repro.serving.requests import (
     WalkRequest,
     valid_tenant_id,
 )
-from repro.serving.worker import entity_walk_seed
+from repro.serving.worker import neighborhoods_payload, walks_payload
 
 # Durable encoding: one literal fact per record / tombstone, subject is a
 # stable hash-derived entity id (record ids are arbitrary strings; entity
@@ -351,9 +351,7 @@ class TenantState:
 
     def close(self) -> None:
         """Flush background work so eviction never races a compaction."""
-        join = getattr(self.publisher, "join_compaction", None)
-        if join is not None:
-            join()
+        self.publisher.join_compaction()
 
 
 class _Slot:
@@ -617,8 +615,8 @@ class TenantRegistry:
 
     # -- request serving ---------------------------------------------------
 
-    def engine(self, tenant_id: str) -> tuple[GraphEngine, int, int]:
-        """``(engine, base_version, tenant_version)`` for tenant reads.
+    def execute_read(self, tenant_id: str, request) -> list:
+        """Answer a walk/neighborhood request over the tenant's overlay.
 
         The base is captured once per call, so a concurrent shared swap
         yields either the old or the new generation consistently — never
@@ -626,41 +624,22 @@ class TenantRegistry:
         """
         base = self.base()
         with self.lease(tenant_id) as state:
-            engine = state.engine(base)
-            return engine, base.built_version, state.version
-
-    def execute_read(self, tenant_id: str, request) -> list:
-        """Answer a walk/neighborhood request over the tenant's overlay."""
-        engine, _base_version, _tenant_version = self.engine(tenant_id)
-        return self.execute_on(engine, request)
+            return self.execute_on(state.engine(base), request)
 
     def execute_on(self, engine: GraphEngine, request) -> list:
         """Answer over an already-captured overlay engine.
 
-        The hot serving path: callers that need the tenant version for
-        cache keying capture ``(engine, versions)`` once via
-        :meth:`engine` and dispatch here — one registry round-trip per
-        request, not two.  Mirrors ``WorkerState._walks`` /
-        ``_neighborhoods`` exactly (per-entity seed substreams, sorted
-        neighborhoods), so a tenant answer differs from a shared answer
-        only by the overlay's facts.
+        The serving path leases the tenant once, keys its cache probe on
+        the leased version and computes here — one registry round-trip
+        per request.  The answer comes from the same functions the shared
+        workers use, so a tenant answer differs from a shared answer only
+        by the overlay's facts.
         """
         self.metrics.incr("tenants.reads")
         if isinstance(request, WalkRequest):
-            return [
-                engine.random_walks(
-                    [entity],
-                    walk_length=request.walk_length,
-                    walks_per_entity=request.walks_per_entity,
-                    seed=entity_walk_seed(request.seed, entity),
-                )
-                for entity in request.entities
-            ]
+            return walks_payload(engine, request)
         if isinstance(request, NeighborhoodRequest):
-            return [
-                sorted(engine.neighborhood(entity, hops=request.hops))
-                for entity in request.entities
-            ]
+            return neighborhoods_payload(engine, request)
         raise TypeError(
             f"request type {type(request).__name__} is not tenant-servable"
         )
@@ -783,10 +762,3 @@ class TenantRegistry:
         for slot in slots:
             if slot.state is not None:
                 slot.state.close()
-
-    def stats(self) -> dict[str, float]:
-        """Flat metrics snapshot for the service stats surface."""
-        out = dict(self.metrics.snapshot())
-        out["tenants.resident"] = float(self.resident_count())
-        out["tenants.evictions"] = float(self.evictions)
-        return out

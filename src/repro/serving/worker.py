@@ -37,6 +37,7 @@ import time
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.common import tracing
 from repro.common.metrics import MetricsRegistry
@@ -56,6 +57,10 @@ from repro.serving.requests import (
     WalkRequest,
 )
 
+if TYPE_CHECKING:
+    from repro.embeddings.suite import EmbeddingSuite, EmbeddingSuiteConfig
+    from repro.kg.graph_engine import GraphEngine
+
 WORKER_MODES = ("inline", "thread", "process")
 
 # Seeds live in numpy's accepted range; 2**63 keeps them positive int64.
@@ -71,6 +76,34 @@ def entity_walk_seed(seed: int, entity: str) -> int:
     over any number of workers replays the exact same draws.
     """
     return stable_hash(f"serve-walks:{seed}:{entity}", _WALK_SEED_SPACE)
+
+
+def walks_payload(engine: "GraphEngine", request: WalkRequest) -> list[list[list[str]]]:
+    """A walk request's answer over ``engine``: one seed substream per entity.
+
+    Shared workers and tenant overlays both answer through here, so a
+    tenant walk differs from a shared one only by the overlay's facts.
+    """
+    return [
+        engine.random_walks(
+            [entity],
+            walk_length=request.walk_length,
+            walks_per_entity=request.walks_per_entity,
+            seed=entity_walk_seed(request.seed, entity),
+        )
+        for entity in request.entities
+    ]
+
+
+def neighborhoods_payload(
+    engine: "GraphEngine", request: NeighborhoodRequest
+) -> list[list[str]]:
+    """A neighborhood request's answer over ``engine``, one per entity."""
+    # Sorted for deterministic merge output (sets have no wire order).
+    return [
+        sorted(engine.neighborhood(entity, hops=request.hops))
+        for entity in request.entities
+    ]
 
 
 @dataclass(frozen=True)
@@ -237,9 +270,9 @@ class WorkerState:
                 "shared workers never serve the tenant request family"
             )
         if isinstance(request, WalkRequest):
-            return self._walks(request)
+            return walks_payload(self.engine, request)
         if isinstance(request, NeighborhoodRequest):
-            return self._neighborhoods(request)
+            return neighborhoods_payload(self.engine, request)
         if isinstance(request, RelatedRequest):
             return self._related_entities(request)
         if isinstance(request, AnnotateRequest):
@@ -266,26 +299,6 @@ class WorkerState:
             )
         raise TypeError(f"unsupported request type: {type(request).__name__}")
 
-    def _walks(self, request: WalkRequest) -> list[list[list[str]]]:
-        engine = self.engine
-        return [
-            engine.random_walks(
-                [entity],
-                walk_length=request.walk_length,
-                walks_per_entity=request.walks_per_entity,
-                seed=entity_walk_seed(request.seed, entity),
-            )
-            for entity in request.entities
-        ]
-
-    def _neighborhoods(self, request: NeighborhoodRequest) -> list[list[str]]:
-        engine = self.engine
-        # Sorted for deterministic merge output (sets have no wire order).
-        return [
-            sorted(engine.neighborhood(entity, hops=request.hops))
-            for entity in request.entities
-        ]
-
     def _related_entities(self, request: RelatedRequest) -> list[list[tuple[str, float]]]:
         backend = self.related_backend()
         return [
@@ -299,33 +312,6 @@ def load_snapshot_state(bundle_dir: Path, *, verify: bool):
     from repro.kg.persistence import load_snapshot
 
     return load_snapshot(bundle_dir, verify=verify)
-
-
-def build_embedding_suite(store, config: WorkerConfig) -> "EmbeddingSuite":
-    """Train + calibrate the embedding-family backends from ``store``.
-
-    Back-compat shim over :func:`repro.embeddings.suite.build_embedding_suite`
-    (where the build moved when the persisted embedding layer made it a
-    platform concern rather than a worker detail), keeping the historical
-    ``WorkerConfig``-flavoured signature.
-    """
-    from repro.embeddings.suite import build_embedding_suite as build_suite
-
-    return build_suite(store, config.embedding_config())
-
-
-def _import_embedding_suite():
-    from repro.embeddings.suite import EmbeddingSuite
-
-    return EmbeddingSuite
-
-
-def __getattr__(name: str):
-    # EmbeddingSuite historically lived here; keep the import path working
-    # without paying the embedding-stack import at worker-module load.
-    if name == "EmbeddingSuite":
-        return _import_embedding_suite()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # -- executors ----------------------------------------------------------------

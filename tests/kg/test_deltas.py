@@ -1,6 +1,7 @@
 """Delta-chain bundles: publish/merge parity, edge cases, crash safety."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from repro.kg.deltas import (
     published_version,
     read_chain,
 )
+from repro.kg import persistence
 from repro.kg.persistence import load_snapshot, save_snapshot
 from repro.kg.store import EntityRecord
 from repro.kg.triple import LiteralType, entity_fact, literal_fact
@@ -310,4 +312,85 @@ class TestCrashSafety:
         assert publisher.pending > 0
         info = publisher.publish()
         assert info is not None and info.store_version == store.version
+        _assert_full_parity(store, bundle)
+
+
+class TestBackgroundCompaction:
+    def test_fold_stalled_mid_save_never_reads_the_live_store(
+        self, tmp_path, monkeypatch
+    ):
+        """The owner mutates and publishes while the background fold is
+        stalled inside its base save; the bundle still loads at the tip."""
+        kg = generate_kg(SyntheticKGConfig(seed=11, scale=0.05))
+        store, bundle = kg.store, tmp_path / "bundle"
+        publisher = GenerationPublisher(
+            store, bundle, compact_every=2, embeddings=False
+        )
+        entered, release = threading.Event(), threading.Event()
+        save_store = persistence.save_store
+
+        def stalling_save_store(*args, **kwargs):
+            counts = save_store(*args, **kwargs)
+            if threading.current_thread().name.startswith("compact-"):
+                entered.set()
+                assert release.wait(30.0)
+            return counts
+
+        monkeypatch.setattr(persistence, "save_store", stalling_save_store)
+        for round_no in range(2):
+            publisher.record(keys=_mutate(store, round_no))
+            assert publisher.publish() is not None
+        assert entered.wait(30.0), "the second publish schedules the fold"
+
+        # The owner keeps growing its store while the fold is mid-save:
+        # new facts and a new catalogued entity.  Recording takes the
+        # publisher lock, so it waits on the fold like the publish does.
+        fresh_entity = EntityRecord(
+            entity=ids.entity_id("during_fold"),
+            name="Added During Fold",
+            types=("type:person",),
+            popularity=0.5,
+        )
+        store.upsert_entity(fresh_entity)
+        anchor = store.entity_ids()[0]
+        link = entity_fact(
+            fresh_entity.entity, RELATED, anchor, confidence=1.0,
+            sources=("live",), updated_at=5.0,
+        )
+        store.add(link)
+        keys = [*_mutate(store, 2), link.key]
+        published = []
+
+        def record_and_publish():
+            publisher.record(keys=keys, entities=[fresh_entity.entity])
+            published.append(publisher.publish())
+
+        owner = threading.Thread(target=record_and_publish)
+        owner.start()
+        release.set()
+        owner.join(30.0)
+        assert not owner.is_alive()
+        assert publisher.join_compaction(timeout=30.0)
+
+        assert published and published[0] is not None
+        assert published_version(bundle) == store.version
+        chain = read_chain(bundle)
+        assert chain["compactions"] == 1 and len(chain["deltas"]) == 1
+        snapshot = _assert_full_parity(store, bundle)
+        save_snapshot(store, tmp_path / "fresh", embeddings=False)
+        fresh = load_snapshot(tmp_path / "fresh")
+        assert {f.key: f for f in snapshot.store.scan()} == {
+            f.key: f for f in fresh.store.scan()
+        }
+        assert snapshot.manifest["store_version"] == fresh.manifest["store_version"]
+
+    def test_inline_compact_publishes_pending_changes_too(self, world):
+        store, publisher, bundle = world
+        publisher.record(keys=_mutate(store, 0))
+        publisher.publish()
+        publisher.record(keys=_mutate(store, 1))
+        info = publisher.compact()
+        assert info.compacted and info.store_version == store.version
+        assert publisher.pending == 0 and publisher.chain_length == 0
+        assert read_chain(bundle)["base_version"] == store.version
         _assert_full_parity(store, bundle)

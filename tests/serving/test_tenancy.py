@@ -495,3 +495,147 @@ class TestConcurrentSwapSweep:
             assert service.store_version == kg.store.version
         finally:
             service.close()
+
+
+@pytest.fixture()
+def growing_service(tmp_path):
+    """A tenant-enabled service over a bundle that can publish a new shared
+    generation on demand: ``(service, entities, grow, bundle)``."""
+    kg = generate_kg(SyntheticKGConfig(seed=31, scale=0.05))
+    entities = sorted(kg.store.entity_ids())
+    bundle = tmp_path / "bundle"
+    publisher = GenerationPublisher(kg.store, bundle, embeddings=False)
+    service = ServingService(bundle, mode="inline", tenants_dir=tmp_path / "tenants")
+
+    def grow(round_no: int) -> int:
+        grown = ids.entity_id(f"grown/merged-{round_no}")
+        kg.store.upsert_entity(EntityRecord(entity=grown, name="Grown"))
+        fact = entity_fact(
+            grown, ids.predicate_id("knows"), entities[round_no], sources=("g",)
+        )
+        kg.store.add(fact)
+        publisher.record(keys=[fact.key], entities=[grown])
+        publisher.publish()
+        publisher.join_compaction()
+        return kg.store.version
+
+    yield service, entities, grow, bundle
+    service.close()
+
+
+class TestMergedPipeline:
+    """Tenant reads ride the one serve pipeline: same cache, same swap
+    retry, same stale fallback, each scoped to the tenant."""
+
+    def test_failed_tenant_read_serves_its_own_stale_answer(
+        self, growing_service, monkeypatch
+    ):
+        service, entities, grow, bundle = growing_service
+        request = NeighborhoodRequest(entities=(PERSON,), hops=1)
+        answers = {}
+        for n, tenant in enumerate(("frank", "gina")):
+            service.serve(
+                TenantUpsertRequest(records=(canary_record(n, entities[n]),)),
+                tenant=tenant,
+            )
+            answers[tenant] = service.serve(request, tenant=tenant).payload
+        answers[None] = service.serve(request).payload
+        assert len({repr(answer) for answer in answers.values()}) == 3
+
+        # The swap demotes every cached answer into the stale store; then
+        # every tenant compute fails.
+        version = grow(0)
+        service.adopt_generation(bundle)
+        assert service.store_version == version
+
+        def broken(engine, request):
+            raise RuntimeError("overlay engine unavailable")
+
+        monkeypatch.setattr(service._tenants, "execute_on", broken)
+        for tenant in ("frank", "gina"):
+            response = service.serve(request, tenant=tenant)
+            assert response.status == "degraded", response.error
+            assert response.cached and response.resilience["stale"] is True
+            assert response.payload == answers[tenant]
+            assert response.store_version == version
+        # A tenant that never answered before has no stale answer of its
+        # own, and never borrows the shared one or another tenant's.
+        service.serve(
+            TenantUpsertRequest(records=(canary_record(7, entities[7]),)),
+            tenant="hank",
+        )
+        response = service.serve(request, tenant="hank")
+        assert response.status == "error"
+        assert response.payload is None
+
+    def test_tenant_read_racing_a_swap_retries_as_the_same_tenant(
+        self, growing_service, monkeypatch
+    ):
+        service, entities, grow, bundle = growing_service
+        request = NeighborhoodRequest(entities=(PERSON,), hops=1)
+        service.serve(
+            TenantUpsertRequest(records=(canary_record(3, entities[3]),)),
+            tenant="ivy",
+        )
+        registry = service._tenants
+        execute_on = registry.execute_on
+        version = grow(1)
+        calls = []
+
+        def swap_then_fail(engine, request):
+            calls.append(service.store_version)
+            if len(calls) == 1:
+                # The shared generation swaps under this read, and the
+                # old generation's compute fails.
+                service.adopt_generation(bundle)
+                raise RuntimeError("old generation shut down")
+            return execute_on(engine, request)
+
+        monkeypatch.setattr(registry, "execute_on", swap_then_fail)
+        response = service.serve(request, tenant="ivy")
+        assert response.ok, response.error
+        assert len(calls) == 2 and calls[1] == version
+        assert response.store_version == version
+        assert entities[3] in response.payload[0]
+        assert service.stats()["counter.serve.swap_retries"] == 1.0
+        # Cached under the tenant's key at the new generation, never under
+        # the shared key.
+        tenant_key = ("ivy", registry.tenant_version("ivy"))
+        assert service._cache.get(version, request, tenant=tenant_key) == response.payload
+        assert service._cache.get(version, request) is None
+        assert service.serve(request, tenant="ivy").cached
+
+    def test_every_catalogued_gauge_reaches_stats_and_metrics(
+        self, tenant_service, seed_entities
+    ):
+        tenant_service.serve(
+            TenantUpsertRequest(records=(canary_record(1, seed_entities[1]),)),
+            tenant="jade",
+        )
+        tenant_service.serve(NeighborhoodRequest(entities=(PERSON,), hops=1), tenant="jade")
+        gauges = tenant_service.gauges()
+        stats = tenant_service.stats()
+        series = {
+            line.split(" ")[0]
+            for line in tenant_service.prometheus_metrics().splitlines()
+            if not line.startswith("#")
+        }
+        for key, value in gauges.items():
+            assert stats[key] == value, key
+            assert f"kg_{key.replace('.', '_')}" in series, key
+        # Everything either exposition carried before the catalogue.
+        for key in (
+            "serve.store_version", "serve.workers", "serve.shards",
+            "serve.cache_entries", "serve.cache_hits", "serve.cache_misses",
+            "serve.cache_evictions", "serve.cache_hit_rate", "serve.batch_pending",
+            "serve.tenants_resident", "serve.tenants_evictions",
+            "serve.mode", "serve.p50_s", "serve.p95_s",
+        ):
+            assert key in stats, key
+        for key in (
+            "serve.store_version", "serve.cache_entries", "serve.cache_hits",
+            "serve.cache_misses", "serve.cache_evictions", "serve.workers",
+            "serve.live_workers", "serve.shards", "serve.batch_pending",
+            "serve.tenants_resident",
+        ):
+            assert f"kg_{key.replace('.', '_')}" in series, key
