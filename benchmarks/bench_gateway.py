@@ -175,10 +175,11 @@ def test_gateway_walk_throughput(benchmark, bundle_dir, walk_requests):
 
 
 def test_gateway_annotation_stream(benchmark, bundle_dir, bench_corpus):
-    """Docs/s: facade annotate_many vs per-text requests streamed async."""
+    """Docs/s: one in-process multi-text serve vs per-text requests streamed async."""
     texts = [doc.full_text for doc in bench_corpus][:ANNOTATE_DOCS]
     with ServingService(bundle_dir, mode="inline") as svc:
-        reference = svc.annotate_many(texts)
+        batch = AnnotateRequest(texts=tuple(texts))
+        reference = svc.serve(batch).result()
         signature = [
             [(link.mention.start, link.mention.end, link.entity) for link in links]
             for links in reference
@@ -186,7 +187,7 @@ def test_gateway_annotation_stream(benchmark, bundle_dir, bench_corpus):
 
         def facade_run():
             svc._cache.clear()
-            return svc.annotate_many(texts)
+            return svc.serve(batch).result()
 
         facade_time, facade_links = min_time(facade_run, repeats=2)
 

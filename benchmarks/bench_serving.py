@@ -28,6 +28,7 @@ import pytest
 
 from benchmarks.conftest import check_floor, record_result
 from repro.kg.persistence import load_snapshot, save_snapshot
+from repro.serving.requests import AnnotateRequest, WalkRequest
 from repro.serving.service import ServingService
 
 # Worker count for the fleet rows; the CI smoke job sets BENCH_WORKERS=2
@@ -104,11 +105,12 @@ def test_annotation_throughput_worker_scaling(
             num_workers=num_workers,
             batch_max_docs=BATCH_DOCS,
         ) as svc:
-            svc.annotate_many(corpus_texts)  # spawn + warm every child
+            request = AnnotateRequest(texts=tuple(corpus_texts))
+            svc.serve(request).result()  # spawn + warm every child
 
             def run():
                 svc._cache.clear()  # measure compute, not the result cache
-                return svc.annotate_many(corpus_texts)
+                return svc.serve(request).result()
 
             elapsed, result = min_time(run, repeats=2)
         return len(corpus_texts) / elapsed, links_signature(result)
@@ -224,26 +226,29 @@ def test_walk_query_serving(benchmark, bench_kg, bundle_dir):
     """Walk queries/s through the full facade, plus the cache-hit path."""
     entities = sorted(bench_kg.store.entity_ids())
     queries = [
-        tuple(
-            entities[(index * WALK_QUERY_ENTITIES + offset) % len(entities)]
-            for offset in range(WALK_QUERY_ENTITIES)
+        WalkRequest(
+            entities=tuple(
+                entities[(index * WALK_QUERY_ENTITIES + offset) % len(entities)]
+                for offset in range(WALK_QUERY_ENTITIES)
+            ),
+            seed=17,
         )
         for index in range(WALK_QUERIES)
     ]
 
     with ServingService(bundle_dir, mode="inline", num_shards=WORKERS) as svc:
-        reference = [svc.random_walks(query, seed=17) for query in queries]
+        reference = [svc.serve(query).result() for query in queries]
 
         def cold_run():
             svc._cache.clear()
-            return [svc.random_walks(query, seed=17) for query in queries]
+            return [svc.serve(query).result() for query in queries]
 
         cold_time, cold_results = min_time(cold_run, repeats=3)
         assert cold_results == reference
 
         # Hot path: every request answered from the versioned cache.
         def hot_run():
-            return [svc.random_walks(query, seed=17) for query in queries]
+            return [svc.serve(query).result() for query in queries]
 
         hot_run()
         hot_time, hot_results = min_time(hot_run, repeats=3)
@@ -254,7 +259,7 @@ def test_walk_query_serving(benchmark, bench_kg, bundle_dir):
     with ServingService(
         bundle_dir, mode="process", num_workers=max(2, WORKERS // 2), num_shards=WORKERS
     ) as fleet:
-        fleet_results = [fleet.random_walks(query, seed=17) for query in queries[:10]]
+        fleet_results = [fleet.serve(query).result() for query in queries[:10]]
     assert fleet_results == reference[:10]
 
     cold_qps = WALK_QUERIES / cold_time

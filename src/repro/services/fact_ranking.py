@@ -80,9 +80,16 @@ class FactRanker:
         *within* each subject's candidate set (scores are only comparable
         against their own alternatives), so per-subject output is
         identical to :meth:`rank`.
+
+        Each subject's facts are taken in ``obj`` order: the store's index
+        iterates a ``set``, whose order varies with ``PYTHONHASHSEED``, and
+        the z-normalisation's float sums must not.
         """
         per_subject_facts = [
-            list(self.store.scan(subject=subject, predicate=predicate))
+            sorted(
+                self.store.scan(subject=subject, predicate=predicate),
+                key=lambda fact: fact.obj,
+            )
             for subject in subjects
         ]
         candidates = [

@@ -53,7 +53,6 @@ from repro.serving.requests import (
     PersonalRecord,
     Request,
     Response,
-    response_class,
     valid_tenant_id,
 )
 
@@ -324,7 +323,7 @@ def _tombstone_item(item: Any) -> tuple[str, str, int]:
 # them to/from JSON-native structures at the wire boundary.  from_wire is
 # the exact inverse of to_wire for every type, so a response round-trips
 # to equal payloads (annotation links drop their server-side candidate
-# lists — a deliberate wire reduction, documented on AnnotateResponse).
+# lists — a deliberate wire reduction, see ``_link_to_wire``).
 
 
 def payload_to_wire(wire_type: str, payload: Any) -> Any:
@@ -471,7 +470,7 @@ def encode_response(response: Response) -> bytes:
 
 
 def decode_response(data: bytes | str) -> Response:
-    """Parse a response envelope into its typed :class:`Response`."""
+    """Parse a response envelope into a :class:`Response`."""
     envelope = _parse_envelope(data)
     wire_type = envelope.get("type")
     if not isinstance(wire_type, str):
@@ -499,13 +498,19 @@ def decode_response(data: bytes | str) -> Response:
         )
     if status != STATUS_ERROR:
         payload = payload_from_wire(wire_type, envelope.get("payload"))
-    cls = response_class(wire_type)
-    return cls(
+    try:
+        store_version = int(envelope.get("store_version", 0))
+        timings = {str(k): float(v) for k, v in timings.items()}
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(
+            ERROR_BAD_REQUEST, f"malformed response envelope: {exc}"
+        ) from None
+    return Response(
         request_type=wire_type,
         status=status,
-        store_version=int(envelope.get("store_version", 0)),
+        store_version=store_version,
         payload=payload,
-        timings={str(k): float(v) for k, v in timings.items()},
+        timings=timings,
         cached=bool(envelope.get("cached", False)),
         error=error,
         resilience={str(k): v for k, v in resilience.items()},
@@ -522,7 +527,7 @@ def error_response(
     timings: dict[str, float] | None = None,
     exception: BaseException | None = None,
 ) -> Response:
-    """A typed error envelope (the one shape every failure path produces).
+    """An error envelope (the one shape every failure path produces).
 
     When the originating ``exception`` is attached, the error carries its
     retryability class and exception type onto the wire — clients decide
@@ -533,8 +538,7 @@ def error_response(
     retryable, exception_type = (
         error_fields(exception) if exception is not None else (False, "")
     )
-    cls = response_class(wire_type)
-    return cls(
+    return Response(
         request_type=wire_type,
         status=STATUS_ERROR,
         store_version=store_version,

@@ -10,7 +10,9 @@ Every request is a frozen, hashable dataclass:
   round-trips through the JSON wire codec (:mod:`repro.serving.protocol`).
 
 Each request class carries its serving *policy* as class attributes the
-facade dispatch reads instead of hard-coding per-method behaviour:
+dispatch reads instead of hard-coding per-family behaviour.  The
+:class:`Request` base class holds the defaults (not splittable, cacheable,
+not cheap to recompute); each family overrides only where it differs:
 
 * ``wire_type`` — the stable protocol tag (``"walk"``, ``"verify"``, …);
 * ``splittable`` — whether the shard router may partition the request's
@@ -31,10 +33,9 @@ facade dispatch reads instead of hard-coding per-method behaviour:
   verification and k-NN burn real compute, so they keep their admission
   slot until the hard limit.
 
-Every request type is paired with a typed :class:`Response` envelope
-(status, payload, ``store_version``, per-stage timings, structured error)
-— the uniform unit every transport (in-process facade, asyncio gateway,
-HTTP) speaks.
+Every family answers with the one :class:`Response` envelope (status,
+payload, ``store_version``, per-stage timings, structured error) — the
+uniform unit every transport (in-process, asyncio gateway, HTTP) speaks.
 """
 
 from __future__ import annotations
@@ -73,8 +74,23 @@ ERROR_UNAVAILABLE = "unavailable"
 ERROR_INTERNAL = "internal"
 
 
+class Request:
+    """Base of every request family: the serving-policy defaults.
+
+    Families are frozen dataclass subclasses declaring ``wire_type`` and
+    overriding only the policies where they differ from these defaults.
+    """
+
+    wire_type: ClassVar[str]
+    splittable: ClassVar[bool] = False
+    cheap_to_recompute: ClassVar[bool] = False
+
+    def cacheable(self) -> bool:
+        return True
+
+
 @dataclass(frozen=True)
-class WalkRequest:
+class WalkRequest(Request):
     """Random walks for each of ``entities``.
 
     Serving walk semantics are *per-entity*: each entity's walks are drawn
@@ -93,12 +109,9 @@ class WalkRequest:
     walks_per_entity: int = DEFAULT_WALKS_PER_ENTITY
     seed: int = 0
 
-    def cacheable(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
-class NeighborhoodRequest:
+class NeighborhoodRequest(Request):
     """K-hop undirected neighborhoods (sorted) for each of ``entities``."""
 
     wire_type: ClassVar[str] = "neighborhood"
@@ -108,27 +121,20 @@ class NeighborhoodRequest:
     entities: tuple[str, ...]
     hops: int = 1
 
-    def cacheable(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
-class RelatedRequest:
+class RelatedRequest(Request):
     """Top-k related entities (traversal embeddings) for each of ``entities``."""
 
     wire_type: ClassVar[str] = "related"
-    cheap_to_recompute: ClassVar[bool] = False
     splittable: ClassVar[bool] = True
 
     entities: tuple[str, ...]
     k: int = 10
 
-    def cacheable(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
-class AnnotateRequest:
+class AnnotateRequest(Request):
     """Entity links for each of ``texts``, scored as one cross-doc batch.
 
     Single-text requests are cacheable (clients re-annotate hot snippets);
@@ -138,8 +144,6 @@ class AnnotateRequest:
     """
 
     wire_type: ClassVar[str] = "annotate"
-    cheap_to_recompute: ClassVar[bool] = False
-    splittable: ClassVar[bool] = False
 
     texts: tuple[str, ...]
     tier: str = "full"
@@ -149,7 +153,7 @@ class AnnotateRequest:
 
 
 @dataclass(frozen=True)
-class FactRankRequest:
+class FactRankRequest(Request):
     """Importance-ranked values of ``(entity, predicate, ?)`` per entity.
 
     ``entities`` are the *subjects* (Figure 2: "occupation of LeBron
@@ -158,18 +162,14 @@ class FactRankRequest:
     """
 
     wire_type: ClassVar[str] = "fact_rank"
-    cheap_to_recompute: ClassVar[bool] = False
     splittable: ClassVar[bool] = True
 
     entities: tuple[str, ...]
     predicate: str = ""
 
-    def cacheable(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
-class VerifyRequest:
+class VerifyRequest(Request):
     """Verdicts for candidate ``(subject, predicate, object)`` triples.
 
     Dispatched whole: the verifier scores the entire candidate set in one
@@ -177,17 +177,12 @@ class VerifyRequest:
     """
 
     wire_type: ClassVar[str] = "verify"
-    cheap_to_recompute: ClassVar[bool] = False
-    splittable: ClassVar[bool] = False
 
     candidates: tuple[tuple[str, str, str], ...]
 
-    def cacheable(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
-class SimilarityRequest:
+class SimilarityRequest(Request):
     """Cosine similarity for each ``(left, right)`` entity pair.
 
     Unknown entities score 0.0 (the embedding service's contract) rather
@@ -197,38 +192,40 @@ class SimilarityRequest:
 
     wire_type: ClassVar[str] = "similarity"
     cheap_to_recompute: ClassVar[bool] = True
-    splittable: ClassVar[bool] = False
 
     pairs: tuple[tuple[str, str], ...]
 
-    def cacheable(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
-class KnnRequest:
+class KnnRequest(Request):
     """k nearest entities in embedding space for each of ``entities``."""
 
     wire_type: ClassVar[str] = "knn"
-    cheap_to_recompute: ClassVar[bool] = False
     splittable: ClassVar[bool] = True
 
     entities: tuple[str, ...]
     k: int = 10
     exclude_self: bool = True
 
-    def cacheable(self) -> bool:
-        return True
-
 
 # -- the tenant request family -------------------------------------------------
-#
-# The on-device sync protocol (ondevice/sync.py) exposed through the
-# gateway: a device ships its personal records (and tombstones) to its
-# tenant's server-side store and gets back what it is missing.  These are
-# *writes* against per-tenant state — never dispatched to the shared
-# worker fleet, never cached, never shed (losing a sync costs the client
-# a full re-send).
+
+
+class TenantWrite(Request):
+    """Base of the tenant-write family: never cached.
+
+    The on-device sync protocol (ondevice/sync.py) exposed through the
+    gateway: a device ships its personal records (and tombstones) to its
+    tenant's server-side store and gets back what it is missing.  These
+    are *writes* against per-tenant state, served by the
+    :class:`~repro.serving.tenancy.TenantRegistry` in the service process
+    — never dispatched to the shared worker fleet (which rejects them),
+    never cached, never shed (losing a sync costs the client a full
+    re-send).
+    """
+
+    def cacheable(self) -> bool:
+        return False
 
 
 @dataclass(frozen=True)
@@ -248,21 +245,16 @@ class PersonalRecord:
 
 
 @dataclass(frozen=True)
-class TenantUpsertRequest:
+class TenantUpsertRequest(TenantWrite):
     """Apply ``records`` to the tenant's personal store (last-writer-wins)."""
 
     wire_type: ClassVar[str] = "tenant_upsert"
-    cheap_to_recompute: ClassVar[bool] = False
-    splittable: ClassVar[bool] = False
 
     records: tuple[PersonalRecord, ...]
 
-    def cacheable(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
-class TenantSyncRequest:
+class TenantSyncRequest(TenantWrite):
     """One device<->server sync round: merge state, return what's missing.
 
     ``records``/``tombstones`` are the device's full current state (small
@@ -274,34 +266,24 @@ class TenantSyncRequest:
     """
 
     wire_type: ClassVar[str] = "tenant_sync"
-    cheap_to_recompute: ClassVar[bool] = False
-    splittable: ClassVar[bool] = False
 
     records: tuple[PersonalRecord, ...] = ()
     tombstones: tuple[tuple[str, str, int], ...] = ()
     epsilon: float = 1.0
 
-    def cacheable(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
-class TenantDeleteRequest:
+class TenantDeleteRequest(TenantWrite):
     """Tombstone one record in the tenant's personal store."""
 
     wire_type: ClassVar[str] = "tenant_delete"
-    cheap_to_recompute: ClassVar[bool] = False
-    splittable: ClassVar[bool] = False
 
     source: str
     record_id: str
     sequence: int = 0
 
-    def cacheable(self) -> bool:
-        return False
 
-
-REQUEST_TYPES: tuple[type, ...] = (
+REQUEST_TYPES: tuple[type[Request], ...] = (
     WalkRequest,
     NeighborhoodRequest,
     RelatedRequest,
@@ -315,39 +297,13 @@ REQUEST_TYPES: tuple[type, ...] = (
     TenantDeleteRequest,
 )
 
-# The tenant-write family: served by the TenantRegistry in the service
-# process, rejected outright by shared-fleet workers (isolation at
-# dispatch — a tenant write can never touch shared state).
-TENANT_REQUEST_TYPES: tuple[type, ...] = (
-    TenantUpsertRequest,
-    TenantSyncRequest,
-    TenantDeleteRequest,
-)
-
 # wire_type tag -> request class (the protocol decode table).
-REQUESTS_BY_WIRE_TYPE: dict[str, type] = {cls.wire_type: cls for cls in REQUEST_TYPES}
-
-# Requests whose per-entity results the router may partition and merge.
-SPLITTABLE = tuple(cls for cls in REQUEST_TYPES if cls.splittable)
-
-Request = (
-    WalkRequest
-    | NeighborhoodRequest
-    | RelatedRequest
-    | AnnotateRequest
-    | FactRankRequest
-    | VerifyRequest
-    | SimilarityRequest
-    | KnnRequest
-    | TenantUpsertRequest
-    | TenantSyncRequest
-    | TenantDeleteRequest
-)
+REQUESTS_BY_WIRE_TYPE: dict[str, type[Request]] = {cls.wire_type: cls for cls in REQUEST_TYPES}
 
 
 def sub_request(request: Request, entities: tuple[str, ...]) -> Request:
     """The same request narrowed to ``entities`` (shard fan-out unit)."""
-    if not isinstance(request, SPLITTABLE):
+    if not type(request).splittable:
         raise TypeError(f"request type {type(request).__name__} is not splittable")
     return replace(request, entities=entities)
 
@@ -393,16 +349,18 @@ TIMING_KEYS = ("total_ms", "cache_ms", "scatter_ms", "compute_ms", "gather_ms")
 
 @dataclass
 class Response:
-    """The uniform answer envelope every transport speaks.
+    """The uniform answer envelope every transport and every family speaks.
 
-    ``payload`` is the per-request-type result (``None`` on error);
+    ``request_type`` is the family's ``wire_type``; ``payload`` is its
+    result (``None`` on error) — one item per entity, text, candidate or
+    pair in request order, or a JSON-native dict for a tenant write;
     ``timings`` carries per-stage wall-clock milliseconds (``total_ms``
     always; ``cache_ms``/``scatter_ms``/``compute_ms``/``gather_ms`` as
     the stages run — see :data:`TIMING_KEYS` for the stable vocabulary);
-    ``cached`` marks cache hits.  ``exception`` keeps the
-    original in-process exception for delegating facade wrappers to
-    re-raise — it never crosses the wire (the codec strips it; clients see
-    only the structured :class:`ErrorInfo`).
+    ``cached`` marks cache hits.  ``exception`` keeps the original
+    in-process exception for :meth:`result` to re-raise — it never
+    crosses the wire (the codec strips it; clients see only the
+    structured :class:`ErrorInfo`).
 
     ``trace_id`` is set only when the request was served under an armed
     tracer — it names the server-side trace in ``GET /debug/traces``.
@@ -458,69 +416,3 @@ class ServingError(RuntimeError):
     def __init__(self, code: str, message: str) -> None:
         super().__init__(f"[{code}] {message}")
         self.code = code
-
-
-class WalkResponse(Response):
-    """Payload: per entity, ``walks_per_entity`` walks of entity ids."""
-
-
-class NeighborhoodResponse(Response):
-    """Payload: per entity, the sorted k-hop neighborhood."""
-
-
-class RelatedResponse(Response):
-    """Payload: per entity, ``(entity, score)`` tuples, best first."""
-
-
-class AnnotateResponse(Response):
-    """Payload: per text, resolved :class:`~repro.annotation.mention.EntityLink`s."""
-
-
-class FactRankResponse(Response):
-    """Payload: per subject, :class:`~repro.services.fact_ranking.RankedFact`s."""
-
-
-class VerifyResponse(Response):
-    """Payload: per candidate, a :class:`~repro.services.fact_verification.Verdict`."""
-
-
-class SimilarityResponse(Response):
-    """Payload: per pair, a cosine similarity float."""
-
-
-class KnnResponse(Response):
-    """Payload: per entity, :class:`~repro.vector.index.SearchHit`s."""
-
-
-class TenantUpsertResponse(Response):
-    """Payload: ``{"applied", "skipped", "tenant_version"}``."""
-
-
-class TenantSyncResponse(Response):
-    """Payload: server records/tombstones the device is missing, the fused
-    ``people``, the new ``tenant_version`` and a DP-noised record count."""
-
-
-class TenantDeleteResponse(Response):
-    """Payload: ``{"deleted", "tenant_version"}``."""
-
-
-# wire_type tag -> typed response class (the codec's decode table).
-RESPONSES_BY_WIRE_TYPE: dict[str, type[Response]] = {
-    "walk": WalkResponse,
-    "neighborhood": NeighborhoodResponse,
-    "related": RelatedResponse,
-    "annotate": AnnotateResponse,
-    "fact_rank": FactRankResponse,
-    "verify": VerifyResponse,
-    "similarity": SimilarityResponse,
-    "knn": KnnResponse,
-    "tenant_upsert": TenantUpsertResponse,
-    "tenant_sync": TenantSyncResponse,
-    "tenant_delete": TenantDeleteResponse,
-}
-
-
-def response_class(wire_type: str) -> type[Response]:
-    """The typed envelope class for ``wire_type`` (base class for unknowns)."""
-    return RESPONSES_BY_WIRE_TYPE.get(wire_type, Response)

@@ -5,7 +5,7 @@ This is the subsystem that turns the repo from a library into a service
 knowledge service — graph queries, entity linking, fact ranking and
 verification, similarity and k-NN — lands in one uniform dispatch::
 
-    response = service.serve(request)   # any Request -> typed Response
+    response = service.serve(request)   # any Request -> Response
 
 Scatter/gather, micro-batching and the versioned :class:`QueryCache` are
 *per-request-type policies* (declared on the request classes in
@@ -20,7 +20,7 @@ Scatter/gather, micro-batching and the versioned :class:`QueryCache` are
 
 Failures never leak tracebacks into the envelope: :meth:`serve` returns a
 structured error response (the original exception rides along in-process
-only, so the legacy delegating wrappers can re-raise it).  Every request
+only, so ``serve(request).result()`` re-raises it).  Every request
 lands in per-type counters and bounded latency histograms surfaced by
 :meth:`stats`.
 
@@ -58,21 +58,14 @@ from repro.serving.requests import (
     REQUEST_TYPES,
     STATUS_DEGRADED,
     STATUS_OK,
-    TENANT_REQUEST_TYPES,
     AnnotateRequest,
+    ErrorInfo,
     FactRankRequest,
-    KnnRequest,
-    NeighborhoodRequest,
-    RelatedRequest,
     Request,
     Response,
-    SimilarityRequest,
     TenantSyncRequest,
     TenantUpsertRequest,
-    VerifyRequest,
-    WalkRequest,
-    ErrorInfo,
-    response_class,
+    TenantWrite,
 )
 from repro.serving.resilience import (
     OPEN,
@@ -82,13 +75,13 @@ from repro.serving.resilience import (
     error_fields,
 )
 from repro.serving.router import DEFAULT_NUM_SHARDS, ShardRouter
-from repro.serving.tenancy import (
-    TENANT_READ_TYPES,
-    TenantNotFound,
-    TenantRegistry,
-    TenantState,
+from repro.serving.tenancy import TenantNotFound, TenantRegistry, TenantState
+from repro.serving.worker import (
+    ENGINE_PAYLOADS,
+    WORKER_MODES,
+    WorkerConfig,
+    WorkerPool,
 )
-from repro.serving.worker import WORKER_MODES, WorkerConfig, WorkerPool
 
 FULL_TIER = "full"
 
@@ -263,21 +256,21 @@ class ServingService:
 
     # -- the uniform dispatch --------------------------------------------------
 
-    def serve(
-        self, request: Request, *, tenant: str | None = None, _swap_retries: int = 2
-    ) -> Response:
-        """Answer any request with a typed response envelope.
+    def serve(self, request: Request, *, tenant: str | None = None) -> Response:
+        """Answer any request with a response envelope.
 
-        The single entry point every transport calls (legacy facade
-        methods, the asyncio gateway, the HTTP front door).  Never raises
-        for request-level failures — the envelope carries a structured
-        error instead (with the original exception attached in-process
-        for delegating wrappers).
+        The single entry point every transport calls (in-process callers,
+        the asyncio gateway, the HTTP front door).  Never raises for
+        request-level failures — the envelope carries a structured error
+        instead, with the original exception attached in-process so
+        ``serve(request).result()`` re-raises it.
 
         ``tenant`` scopes the request to one tenant's overlay graph, on
         the same pipeline as every other request: a tenant is an engine
-        plus a cache namespace.  Walks and neighborhoods answer over the
-        leased tenant's overlay engine and cache under
+        plus a cache namespace.  The engine-servable families
+        (:data:`~repro.serving.worker.ENGINE_PAYLOADS`: walks and
+        neighborhoods) answer over the leased tenant's overlay engine and
+        cache under
         ``(tenant, tenant_version)`` (with the same stale fallback), and
         the tenant write/sync family applies to that tenant's durable
         store.  Tenant work never reaches the shared worker fleet
@@ -286,7 +279,7 @@ class ServingService:
 
         Generation swaps drop zero requests: a request whose captured
         pool was shut down mid-flight by ``adopt_generation`` re-dispatches
-        against the new generation (``_swap_retries`` bounds pathological
+        against the new generation (up to twice, bounding pathological
         back-to-back swaps) instead of surfacing the race as an error.
 
         Under an armed tracer the whole dispatch (including swap
@@ -295,13 +288,13 @@ class ServingService:
         ``None`` check.
         """
         if tracing.active() is None:
-            response = self._serve_impl(request, _swap_retries, tenant)
+            response = self._serve_impl(request, tenant)
             self.metrics.incr(f"serve.status.{response.status}")
             return response
         with tracing.span(
             "serve.request", request_type=type(request).__name__
         ) as span:
-            response = self._serve_impl(request, _swap_retries, tenant)
+            response = self._serve_impl(request, tenant)
             self.metrics.incr(f"serve.status.{response.status}")
             span.set_attribute("status", response.status)
             span.set_attribute("cached", response.cached)
@@ -312,7 +305,7 @@ class ServingService:
             return response
 
     def _serve_impl(
-        self, request: Request, _swap_retries: int, tenant: str | None = None
+        self, request: Request, tenant: str | None, swap_retries: int = 2
     ) -> Response:
         started = time.perf_counter()
         timings: dict[str, float] = {}
@@ -337,7 +330,7 @@ class ServingService:
 
         def respond(status: str, payload, **fields) -> Response:
             timings["total_ms"] = _ms_since(started)
-            return response_class(wire_type)(
+            return Response(
                 request_type=wire_type,
                 status=status,
                 store_version=version,
@@ -355,11 +348,12 @@ class ServingService:
             )
 
         scope = nullcontext()
-        if tenant is not None or isinstance(request, TENANT_REQUEST_TYPES):
+        tenant_write = isinstance(request, TenantWrite)
+        if tenant is not None or tenant_write:
             rejection = self._tenant_rejection(request, tenant)
             if rejection is not None:
                 return fail(*rejection)
-            if isinstance(request, TENANT_READ_TYPES):
+            if not tenant_write:
                 # The lease pins the tenant's version (the cache namespace)
                 # against eviction across the cache probe and the compute.
                 scope = self._tenants.lease(tenant)
@@ -400,13 +394,13 @@ class ServingService:
         except TenantNotFound as exc:
             return fail(ERROR_BAD_REQUEST, str(exc), exc)
         except Exception as exc:
-            if pool is not self._pool and _swap_retries > 0:
+            if pool is not self._pool and swap_retries > 0:
                 # Lost the race with adopt_generation (the old pool may have
                 # shut down under us): re-dispatch the same request, for the
                 # same tenant, on the new generation — zero dropped
                 # requests, and no partial answer from a healthy fleet.
                 self.metrics.incr("serve.swap_retries")
-                return self._serve_impl(request, _swap_retries - 1, tenant)
+                return self._serve_impl(request, tenant, swap_retries - 1)
             if isinstance(exc, PartialResultError):
                 # Graceful degradation: the healthy shards' answers go out
                 # with None holes at the failed entities, plus the terminal
@@ -474,7 +468,7 @@ class ServingService:
             )
         if tenant is None:
             return ERROR_BAD_REQUEST, f"{type_name} requires a tenant envelope field"
-        if not isinstance(request, TENANT_REQUEST_TYPES + TENANT_READ_TYPES):
+        if not (isinstance(request, TenantWrite) or type(request) in ENGINE_PAYLOADS):
             return (
                 ERROR_BAD_REQUEST,
                 f"{type_name} cannot be tenant-scoped "
@@ -753,74 +747,6 @@ class ServingService:
                 ]
             )
             return [links for chunk in chunk_results for links in chunk]
-
-    # -- legacy facade methods (thin delegation over serve()) ------------------
-
-    def random_walks(
-        self,
-        entities: Sequence[str],
-        walk_length: int = 8,
-        walks_per_entity: int = 4,
-        seed: int = 0,
-    ) -> list[list[list[str]]]:
-        """Per-entity random walks (see ``entity_walk_seed`` semantics)."""
-        return self.serve(
-            WalkRequest(
-                entities=tuple(entities),
-                walk_length=walk_length,
-                walks_per_entity=walks_per_entity,
-                seed=seed,
-            )
-        ).result()
-
-    def neighborhood(
-        self, entities: Sequence[str], hops: int = 1
-    ) -> list[list[str]]:
-        """Sorted k-hop neighborhood per entity."""
-        return self.serve(
-            NeighborhoodRequest(entities=tuple(entities), hops=hops)
-        ).result()
-
-    def related_entities(
-        self, entities: Sequence[str], k: int = 10
-    ) -> list[list[tuple[str, float]]]:
-        """Top-k traversal-embedding related entities per seed entity."""
-        return self.serve(RelatedRequest(entities=tuple(entities), k=k)).result()
-
-    def annotate(self, text: str) -> list[EntityLink]:
-        """Entity links for one text (coalesced with concurrent callers)."""
-        return self.serve(
-            AnnotateRequest(texts=(text,), tier=self.tier)
-        ).result()[0]
-
-    def annotate_many(self, texts: Sequence[str]) -> list[list[EntityLink]]:
-        """Entity links for many texts: batched across documents, spread
-        over the worker fleet."""
-        return self.serve(
-            AnnotateRequest(texts=tuple(texts), tier=self.tier)
-        ).result()
-
-    def rank_facts(self, subjects: Sequence[str], predicate: str) -> list[list]:
-        """Importance-ranked values of ``(subject, predicate, ?)`` per subject."""
-        return self.serve(
-            FactRankRequest(entities=tuple(subjects), predicate=predicate)
-        ).result()
-
-    def verify_facts(self, candidates: Sequence[tuple[str, str, str]]) -> list:
-        """Calibrated verdicts for candidate triples (one batched pass)."""
-        return self.serve(
-            VerifyRequest(candidates=tuple(tuple(c) for c in candidates))
-        ).result()
-
-    def similarity(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
-        """Cosine similarity per entity pair (0.0 for unknown entities)."""
-        return self.serve(
-            SimilarityRequest(pairs=tuple(tuple(p) for p in pairs))
-        ).result()
-
-    def knn(self, entities: Sequence[str], k: int = 10) -> list[list]:
-        """k nearest embedding-space entities per seed entity."""
-        return self.serve(KnnRequest(entities=tuple(entities), k=k)).result()
 
     def _annotate_flush(self, texts: list[str]) -> list[list[EntityLink]]:
         """MicroBatcher sink: one pooled cross-document annotation call."""

@@ -41,7 +41,6 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 from repro.common import ids
-from repro.common.errors import StoreError
 from repro.common.metrics import MetricsRegistry
 from repro.common.rng import stable_hash
 from repro.kg.adjacency import CSRAdjacency
@@ -54,13 +53,8 @@ from repro.kg.triple import Fact, LiteralType, ObjectKind
 from repro.ondevice.enrichment import dp_count_query
 from repro.ondevice.incremental import IncrementalPipeline
 from repro.ondevice.records import SourceRecord, record_lww_key
-from repro.serving.requests import (
-    NeighborhoodRequest,
-    PersonalRecord,
-    WalkRequest,
-    valid_tenant_id,
-)
-from repro.serving.worker import neighborhoods_payload, walks_payload
+from repro.serving.requests import PersonalRecord, valid_tenant_id
+from repro.serving.worker import ENGINE_PAYLOADS
 
 # Durable encoding: one literal fact per record / tombstone, subject is a
 # stable hash-derived entity id (record ids are arbitrary strings; entity
@@ -73,10 +67,6 @@ TOMBSTONE_PREDICATE = ids.predicate_id("tenant_tombstone")
 # interested in entity:Q42") and the hook fused answers traverse.
 LINK_FIELD = "linked_entity"
 LINK_PREDICATE = ids.predicate_id("interested_in")
-
-# Request types a tenant overlay serves (the graph-traversal families; the
-# rest either need shared-only physical layers or are writes).
-TENANT_READ_TYPES = (WalkRequest, NeighborhoodRequest)
 
 _SEED_SPACE = 2**63
 
@@ -636,13 +626,12 @@ class TenantRegistry:
         by the overlay's facts.
         """
         self.metrics.incr("tenants.reads")
-        if isinstance(request, WalkRequest):
-            return walks_payload(engine, request)
-        if isinstance(request, NeighborhoodRequest):
-            return neighborhoods_payload(engine, request)
-        raise TypeError(
-            f"request type {type(request).__name__} is not tenant-servable"
-        )
+        answer = ENGINE_PAYLOADS.get(type(request))
+        if answer is None:
+            raise TypeError(
+                f"request type {type(request).__name__} is not tenant-servable"
+            )
+        return answer(engine, request)
 
     def upsert(self, tenant_id: str, records: Iterable[PersonalRecord]) -> dict[str, Any]:
         """Apply a :class:`TenantUpsertRequest`; returns its payload."""

@@ -37,7 +37,7 @@ import time
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.common import tracing
 from repro.common.metrics import MetricsRegistry
@@ -45,7 +45,6 @@ from repro.common.rng import stable_hash
 from repro.serving import faults
 from repro.serving.resilience import CircuitBreaker, RetryPolicy, is_retryable
 from repro.serving.requests import (
-    TENANT_REQUEST_TYPES,
     AnnotateRequest,
     FactRankRequest,
     KnnRequest,
@@ -104,6 +103,15 @@ def neighborhoods_payload(
         sorted(engine.neighborhood(entity, hops=request.hops))
         for entity in request.entities
     ]
+
+
+# The families a bare graph engine answers: a worker's shared engine and a
+# tenant's overlay engine alike.  Worker dispatch, tenant reads and the
+# service's tenant-scope check all read this one table.
+ENGINE_PAYLOADS: dict[type[Request], Callable[["GraphEngine", Request], list]] = {
+    WalkRequest: walks_payload,
+    NeighborhoodRequest: neighborhoods_payload,
+}
 
 
 @dataclass(frozen=True)
@@ -261,18 +269,11 @@ class WorkerState:
             )
 
     def _dispatch(self, request: Request) -> list:
-        if isinstance(request, TENANT_REQUEST_TYPES):
-            # Isolation at dispatch: the shared fleet serves only shared
-            # state.  Tenant writes are handled by the TenantRegistry in
-            # the service process and must never reach a worker replica.
-            raise TypeError(
-                f"{type(request).__name__} targets per-tenant state; "
-                "shared workers never serve the tenant request family"
-            )
-        if isinstance(request, WalkRequest):
-            return walks_payload(self.engine, request)
-        if isinstance(request, NeighborhoodRequest):
-            return neighborhoods_payload(self.engine, request)
+        # Tenant writes fall through to the TypeError: the shared fleet
+        # serves only shared state (isolation at dispatch).
+        answer = ENGINE_PAYLOADS.get(type(request))
+        if answer is not None:
+            return answer(self.engine, request)
         if isinstance(request, RelatedRequest):
             return self._related_entities(request)
         if isinstance(request, AnnotateRequest):

@@ -1,7 +1,13 @@
 """Tests for the fact-ranking service."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.common import ids
 from repro.embeddings.inference import BatchInference
 from repro.services.fact_ranking import (
@@ -73,6 +79,43 @@ class TestRank:
                     wins += 1
         assert total > 0
         assert wins / total > 0.8
+
+
+# Ranks every occupation subject of a small world and prints the payload.
+_RANK_SCRIPT = """
+from repro.common import ids
+from repro.embeddings.inference import BatchInference
+from repro.embeddings.pipeline import EmbeddingPipelineConfig, run_embedding_pipeline
+from repro.embeddings.trainer import TrainConfig
+from repro.kg.generator import SyntheticKGConfig, generate_kg
+from repro.kg.views import embedding_training_view
+from repro.services.fact_ranking import FactRanker
+
+kg = generate_kg(SyntheticKGConfig(seed=7, scale=0.1))
+trained = run_embedding_pipeline(kg.store, EmbeddingPipelineConfig(
+    train=TrainConfig(model="distmult", dim=8, epochs=2, seed=3),
+    view=embedding_training_view(min_predicate_frequency=3),
+    eval_max_queries=5,
+))
+ranker = FactRanker(kg.store, BatchInference(trained.trained))
+print(repr(ranker.rank_many(sorted(kg.truth.occupation_order), ids.predicate_id("occupation"))))
+"""
+
+
+def test_rank_many_is_independent_of_hash_seed():
+    """Scores are identical across processes whatever ``PYTHONHASHSEED`` is
+    (the store's fact index iterates sets, whose order is hash-salted)."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    payloads = set()
+    for hash_seed in range(4):
+        env = {**os.environ, "PYTHONHASHSEED": str(hash_seed), "PYTHONPATH": pythonpath}
+        done = subprocess.run(
+            [sys.executable, "-c", _RANK_SCRIPT],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        payloads.add(done.stdout)
+    assert len(payloads) == 1
 
 
 class TestEvaluation:

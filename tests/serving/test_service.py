@@ -7,12 +7,13 @@ from repro.kg.query_logs import QueryLogEntry
 from repro.serving.requests import (
     AnnotateRequest,
     FactRankRequest,
-    FactRankResponse,
     KnnRequest,
+    NeighborhoodRequest,
+    RelatedRequest,
+    Response,
     SimilarityRequest,
     VerifyRequest,
     WalkRequest,
-    WalkResponse,
 )
 from repro.serving.service import (
     ServingService,
@@ -34,13 +35,14 @@ class TestTraversalServing:
         results = []
         for num_shards in (1, 3, 8):
             with ServingService(bundle_dir, num_shards=num_shards) as svc:
-                results.append(svc.random_walks(seed_entities, seed=7))
+                request = WalkRequest(entities=tuple(seed_entities), seed=7)
+                results.append(svc.serve(request).result())
         assert results[0] == results[1] == results[2]
 
     def test_walks_match_cold_engine_contract(self, service, bundle_dir, seed_entities):
         from repro.kg.persistence import load_snapshot
 
-        served = service.random_walks(seed_entities[:6], seed=3)
+        served = service.serve(WalkRequest(entities=tuple(seed_entities[:6]), seed=3)).result()
         cold = load_snapshot(bundle_dir).engine()
         for entity, walks in zip(seed_entities[:6], served):
             assert walks == cold.random_walks(
@@ -49,37 +51,39 @@ class TestTraversalServing:
             )
 
     def test_neighborhood_and_related(self, service, seed_entities):
-        neighborhoods = service.neighborhood(seed_entities[:4], hops=2)
+        neighborhoods = service.serve(
+            NeighborhoodRequest(entities=tuple(seed_entities[:4]), hops=2)
+        ).result()
         assert len(neighborhoods) == 4
         assert all(row == sorted(row) for row in neighborhoods)
-        related = service.related_entities(seed_entities[:3], k=5)
+        related = service.serve(RelatedRequest(entities=tuple(seed_entities[:3]), k=5)).result()
         assert len(related) == 3
         assert all(len(hits) <= 5 for hits in related)
 
     def test_empty_request(self, service):
-        assert service.random_walks([]) == []
-        assert service.neighborhood([]) == []
+        assert service.serve(WalkRequest(entities=())).result() == []
+        assert service.serve(NeighborhoodRequest(entities=())).result() == []
 
 
 class TestQueryCaching:
     def test_repeat_request_hits_cache(self, bundle_dir, seed_entities):
         with ServingService(bundle_dir) as svc:
-            first = svc.random_walks(seed_entities, seed=1)
+            first = svc.serve(WalkRequest(entities=tuple(seed_entities), seed=1)).result()
             hits_before = svc._cache.hits
-            second = svc.random_walks(seed_entities, seed=1)
+            second = svc.serve(WalkRequest(entities=tuple(seed_entities), seed=1)).result()
             assert second == first
             assert svc._cache.hits == hits_before + 1
 
     def test_different_parameters_miss(self, bundle_dir, seed_entities):
         with ServingService(bundle_dir) as svc:
-            svc.random_walks(seed_entities, seed=1)
-            svc.random_walks(seed_entities, seed=2)
+            svc.serve(WalkRequest(entities=tuple(seed_entities), seed=1)).result()
+            svc.serve(WalkRequest(entities=tuple(seed_entities), seed=2)).result()
             assert svc._cache.hits == 0
 
     def test_annotation_caches_per_text(self, bundle_dir, sample_texts):
         with ServingService(bundle_dir) as svc:
-            first = svc.annotate(sample_texts[0])
-            second = svc.annotate(sample_texts[0])
+            first = svc.serve(AnnotateRequest(texts=(sample_texts[0],))).result()[0]
+            second = svc.serve(AnnotateRequest(texts=(sample_texts[0],))).result()[0]
             assert second == first
             assert svc._cache.hits == 1
 
@@ -88,7 +92,7 @@ class TestAnnotationServing:
     def test_annotate_matches_pipeline(self, service, sample_texts):
         pipeline = service._pool.local_state.snapshot.annotation_pipeline(tier="full")
         for text in sample_texts[:3]:
-            served = service.annotate(text)
+            served = service.serve(AnnotateRequest(texts=(text,))).result()[0]
             expected = pipeline.annotate(text)
             assert [
                 (link.mention.start, link.mention.end, link.entity) for link in served
@@ -97,9 +101,9 @@ class TestAnnotationServing:
             ]
 
     def test_annotate_many_matches_singles(self, service, sample_texts):
-        batched = service.annotate_many(sample_texts)
+        batched = service.serve(AnnotateRequest(texts=tuple(sample_texts))).result()
         for text, links in zip(sample_texts, batched):
-            singles = service.annotate(text)
+            singles = service.serve(AnnotateRequest(texts=(text,))).result()[0]
             assert [
                 (link.mention.start, link.mention.end, link.entity) for link in links
             ] == [
@@ -107,7 +111,7 @@ class TestAnnotationServing:
             ]
 
     def test_annotate_many_empty(self, service):
-        assert service.annotate_many([]) == []
+        assert service.serve(AnnotateRequest(texts=())).result() == []
 
 
 class TestGenerationAdoption:
@@ -122,7 +126,7 @@ class TestGenerationAdoption:
         bundle_v1 = tmp_path / "v1"
         save_snapshot(store, bundle_v1)
         with ServingService(bundle_v1) as svc:
-            svc.random_walks(seeds, seed=5)
+            svc.serve(WalkRequest(entities=tuple(seeds), seed=5)).result()
             version_1 = svc.store_version
             assert len(svc._cache) > 0
 
@@ -139,7 +143,7 @@ class TestGenerationAdoption:
             adopted = svc.adopt_generation(bundle_v2)
             assert adopted == store.version != version_1
             assert len(svc._cache) == 0  # old generation purged
-            walks = svc.random_walks(seeds, seed=5)
+            walks = svc.serve(WalkRequest(entities=tuple(seeds), seed=5)).result()
             assert len(walks) == 4
             assert svc.metrics.counters["serve.generations"] == 2
 
@@ -147,8 +151,8 @@ class TestGenerationAdoption:
 class TestStatsSurface:
     def test_stats_keys(self, bundle_dir, seed_entities, sample_texts):
         with ServingService(bundle_dir, num_shards=4) as svc:
-            svc.random_walks(seed_entities[:4])
-            svc.annotate(sample_texts[0])
+            svc.serve(WalkRequest(entities=tuple(seed_entities[:4]))).result()
+            svc.serve(AnnotateRequest(texts=(sample_texts[0],))).result()[0]
             stats = svc.stats()
         assert stats["counter.serve.requests"] == 2.0
         assert stats["hist.serve.latency.count"] == 2.0
@@ -160,7 +164,7 @@ class TestStatsSurface:
 
     def test_shard_fanout_counter(self, bundle_dir, seed_entities):
         with ServingService(bundle_dir, num_shards=4) as svc:
-            svc.random_walks(seed_entities)
+            svc.serve(WalkRequest(entities=tuple(seed_entities))).result()
             assert 1 <= svc.metrics.counters["serve.shard_fanout"] <= 4
 
 
@@ -176,7 +180,7 @@ def embed_symbols(service):
 class TestServeDispatch:
     def test_serve_returns_typed_envelopes(self, service, seed_entities):
         response = service.serve(WalkRequest(entities=tuple(seed_entities[:3]), seed=2))
-        assert isinstance(response, WalkResponse)
+        assert type(response) is Response
         assert response.ok
         assert response.request_type == "walk"
         assert response.store_version == service.store_version
@@ -191,41 +195,39 @@ class TestServeDispatch:
         assert second.cached
         assert second.payload == first.payload
 
-    def test_delegating_wrappers_match_serve(self, service, seed_entities):
-        request = WalkRequest(entities=tuple(seed_entities[:3]), seed=8)
-        assert service.random_walks(seed_entities[:3], seed=8) == service.serve(request).payload
-
     def test_fact_ranking_served(self, service, embed_symbols):
         _entities, predicate, triples = embed_symbols
-        subjects = [triples[0][0], triples[1][0]]
-        response = service.serve(
-            FactRankRequest(entities=tuple(subjects), predicate=predicate)
-        )
-        assert isinstance(response, FactRankResponse)
+        subjects = (triples[0][0], triples[1][0])
+        response = service.serve(FactRankRequest(entities=subjects, predicate=predicate))
+        assert type(response) is Response
+        assert response.request_type == "fact_rank"
         assert response.ok
         assert len(response.payload) == 2
-        assert service.rank_facts(subjects, predicate) == response.payload
 
     def test_fact_ranking_matches_direct_backend(self, service, embed_symbols):
         _entities, predicate, triples = embed_symbols
         suite = service._pool.local_state.embedding_suite()
-        served = service.rank_facts([triples[0][0]], predicate)
+        served = service.serve(
+            FactRankRequest(entities=(triples[0][0],), predicate=predicate)
+        ).result()
         assert served[0] == suite.ranker.rank(triples[0][0], predicate)
 
     def test_verification_served(self, service, embed_symbols):
         _entities, _predicate, triples = embed_symbols
-        verdicts = service.verify_facts(triples)
+        verdicts = service.serve(VerifyRequest(candidates=tuple(triples))).result()
         assert len(verdicts) == len(triples)
         suite = service._pool.local_state.embedding_suite()
         assert verdicts == [suite.verifier.verify(*c) for c in triples]
 
     def test_similarity_and_knn_served(self, service, embed_symbols):
         entities, _predicate, _triples = embed_symbols
-        sims = service.similarity([(entities[0], entities[1]), (entities[0], "ghost")])
+        sims = service.serve(
+            SimilarityRequest(pairs=((entities[0], entities[1]), (entities[0], "ghost")))
+        ).result()
         assert len(sims) == 2
         assert -1.0 <= sims[0] <= 1.0
         assert sims[1] == 0.0
-        hits = service.knn([entities[0]], k=3)
+        hits = service.serve(KnnRequest(entities=(entities[0],), k=3)).result()
         assert len(hits) == 1
         assert entities[0] not in {hit.key for hit in hits[0]}
 
@@ -237,7 +239,7 @@ class TestServeDispatch:
         assert response.error is not None and response.error.code == "internal"
         assert isinstance(response.exception, EmbeddingError)
         with pytest.raises(EmbeddingError):
-            service.knn(["entity:ghost"], k=3)
+            response.result()
 
     def test_unsupported_request_type(self, service):
         response = service.serve("not a request")
@@ -289,9 +291,9 @@ class TestAnnotationTiers:
 class TestCacheAdmission:
     def test_multi_text_annotation_not_cached(self, bundle_dir, sample_texts):
         with ServingService(bundle_dir) as svc:
-            svc.annotate_many(sample_texts[:3])
+            svc.serve(AnnotateRequest(texts=tuple(sample_texts[:3]))).result()
             assert len(svc._cache) == 0
-            svc.annotate(sample_texts[0])
+            svc.serve(AnnotateRequest(texts=(sample_texts[0],))).result()[0]
             assert len(svc._cache) == 1
 
     def test_verify_results_cached(self, service, embed_symbols):
@@ -361,9 +363,9 @@ class TestCacheWarming:
 class TestPerTypeStats:
     def test_per_request_type_counters_and_p95(self, bundle_dir, seed_entities, sample_texts):
         with ServingService(bundle_dir, num_shards=4) as svc:
-            svc.random_walks(seed_entities[:4])
-            svc.random_walks(seed_entities[:4], seed=1)
-            svc.annotate(sample_texts[0])
+            svc.serve(WalkRequest(entities=tuple(seed_entities[:4]))).result()
+            svc.serve(WalkRequest(entities=tuple(seed_entities[:4]), seed=1)).result()
+            svc.serve(AnnotateRequest(texts=(sample_texts[0],))).result()[0]
             stats = svc.stats()
         assert stats["counter.serve.requests.WalkRequest"] == 2.0
         assert stats["counter.serve.requests.AnnotateRequest"] == 1.0
@@ -383,6 +385,6 @@ class TestPerTypeStats:
 class TestSaveAndServe:
     def test_round_trip(self, serving_kg, tmp_path, seed_entities):
         with save_and_serve(serving_kg.store, tmp_path / "bundle") as svc:
-            walks = svc.random_walks(seed_entities[:2])
+            walks = svc.serve(WalkRequest(entities=tuple(seed_entities[:2]))).result()
             assert len(walks) == 2
             assert svc.store_version == serving_kg.store.version
