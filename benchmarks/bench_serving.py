@@ -103,7 +103,6 @@ def test_annotation_throughput_worker_scaling(
             bundle_dir,
             mode="process",
             num_workers=num_workers,
-            batch_max_docs=BATCH_DOCS,
         ) as svc:
             request = AnnotateRequest(texts=tuple(corpus_texts))
             svc.serve(request).result()  # spawn + warm every child

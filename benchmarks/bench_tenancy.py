@@ -155,23 +155,23 @@ def test_cold_attach_and_memory(benchmark, tenant_world, tmp_path_factory):
     kg, entities = tenant_world
     tenants_dir = tmp_path_factory.mktemp("tenants-cold")
     base = build_csr(kg.store)
-    registry = TenantRegistry(tenants_dir, base=base, max_resident=TENANTS)
+    registry = TenantRegistry(tenants_dir, max_resident=TENANTS)
     probe = NeighborhoodRequest(
         entities=("entity:personal/person-0000",), hops=1
     )
     for n in range(TENANTS):
         registry.upsert(f"cold-{n:02d}", _records(n, entities))
-        assert registry.execute_read(f"cold-{n:02d}", probe)
+        assert registry.execute_read(f"cold-{n:02d}", probe, base)
     registry.close()
 
     # Every tenant is durable on disk and nothing is resident: attach one
     # at a time and measure time-to-first-answer (bundle load + record
     # parse + fuse + overlay collapse).
-    fresh = TenantRegistry(tenants_dir, base=base, max_resident=TENANTS)
+    fresh = TenantRegistry(tenants_dir, max_resident=TENANTS)
     attach_times = []
     for n in range(TENANTS):
         start = time.perf_counter()
-        assert fresh.execute_read(f"cold-{n:02d}", probe)
+        assert fresh.execute_read(f"cold-{n:02d}", probe, base)
         attach_times.append(time.perf_counter() - start)
     cold_ms = min(attach_times) * 1000
     memory_kb = [
@@ -180,7 +180,7 @@ def test_cold_attach_and_memory(benchmark, tenant_world, tmp_path_factory):
 
     def attach_once():
         fresh.evict("cold-00")
-        return fresh.execute_read("cold-00", probe)
+        return fresh.execute_read("cold-00", probe, base)
 
     benchmark(attach_once)
     record_result(
@@ -203,7 +203,6 @@ def test_tenant_publish_rides_the_delta_path(benchmark, tenant_world, tmp_path_f
     kg, entities = tenant_world
     registry = TenantRegistry(
         tmp_path_factory.mktemp("tenants-pub"),
-        base=build_csr(kg.store),
         compact_every=PUBLISH_ROUNDS + 2,  # pure delta publishes
     )
     tenant = "writer"

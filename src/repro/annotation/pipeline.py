@@ -86,8 +86,8 @@ class AnnotationPipeline:
     def annotate_batch(self, texts: list[str]) -> list[list[EntityLink]]:
         """Entity links for many texts, scored in one cross-document batch.
 
-        The corpus-level batching hook (the serving layer's
-        :class:`~repro.serving.batcher.MicroBatcher` flushes through it):
+        The corpus-level batching hook (a serving worker answers every
+        annotate request through it, one call per request or chunk):
         mention detection and candidate generation stay per document, but
         *all* mention windows across the batch are hashed in a single
         :meth:`HashingContextEncoder.encode_batch` call and all (mention,

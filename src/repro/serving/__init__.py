@@ -4,9 +4,10 @@ The subsystem that fronts the platform: a :class:`ServingService` facade
 with one uniform ``serve(request) -> Response`` dispatch over a
 :class:`ShardRouter` (int32 id-space partitioning with deterministic
 merges), a :class:`WorkerPool` of bundle replicas (inline / thread /
-subprocess executors over mmap-shared snapshot pages), a
-:class:`MicroBatcher` (cross-document annotation batching) and a
-versioned :class:`QueryCache` (LRU over ``(store_version, request)``).
+subprocess executors over mmap-shared snapshot pages) and a versioned
+:class:`QueryCache` (LRU over ``(store_version, request)``).
+:class:`MicroBatcher` (cross-document annotation batching) is a library
+helper; the serve path does not use it.
 :mod:`repro.serving.protocol` is the schema-versioned JSON wire codec and
 :mod:`repro.serving.gateway` the asyncio/HTTP front door
 (``python -m repro.serving.gateway <bundle>``).

@@ -14,10 +14,17 @@ The batcher is synchronous and thread-safe, with two flush triggers:
   next batch), bounding staleness under continuous traffic.
 
 There is no daemon thread: an idle tail is drained by :meth:`flush`,
-which :meth:`annotate_many` and the serving facade call at their sync
-points.  Each queued text gets a :class:`~concurrent.futures.Future`;
-concurrent submitters whose texts land in one batch share a single
-downstream call.
+which :meth:`annotate_many` calls at its sync point.  Each queued text
+gets a :class:`~concurrent.futures.Future`; concurrent submitters whose
+texts land in one batch share a single downstream call.
+
+This is a library class, not a serving stage.  A synchronous
+``serve()`` call must return its own answer, so it would flush right
+after its submit and no flush would hold more than one text (measured:
+400 concurrent single-text annotates through ``AsyncGateway`` gave 400
+flushes).  :class:`~repro.serving.service.ServingService` therefore sends
+single texts straight to the worker pool, and multi-text requests reach
+``annotate_batch`` whole.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ clients know exactly what they got.
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Iterable
+from typing import Any, Hashable
 
 from repro.common import tracing
 from repro.common.kvstore import MemoryKVStore
@@ -130,27 +130,6 @@ class QueryCache:
         existing = self._stale.get(key, _SENTINEL)
         if existing is _SENTINEL or existing[0] < version:
             self._stale.put(key, (version, value))
-
-    def warm(self, version: int, entries: Iterable[tuple[Hashable, Any]]) -> int:
-        """Pre-populate the cache with computed ``(request, result)`` pairs.
-
-        The ROADMAP's "cache warming" path: a new generation's cache can
-        be seeded from replayed query-log traffic before the fleet takes
-        live requests.  Requests that declare themselves non-cacheable
-        (``cacheable()`` returning false — e.g. never-repeating annotation
-        batches) are skipped, the same admission policy the serving
-        dispatch applies.  Returns the number of entries admitted.
-        """
-        admitted = 0
-        for request, value in entries:
-            admission = getattr(request, "cacheable", None)
-            if callable(admission) and not admission():
-                continue
-            self.put(version, request, value)
-            admitted += 1
-        if admitted:
-            self.metrics.incr("cache.warmed", admitted)
-        return admitted
 
     def get_stale(self, request: Hashable, tenant=None) -> tuple[int, Any] | None:
         """The newest demoted ``(store_version, result)`` for ``request``.

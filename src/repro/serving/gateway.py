@@ -498,8 +498,8 @@ class GatewayHTTPServer:
             ).encode("utf-8")
         if path == "/metrics" and method == "GET":
             # Prometheus text exposition (format 0.0.4) of the shared
-            # registry: gateway admission, serve, pool, cache, batcher
-            # and breaker series in one scrape.
+            # registry: gateway admission, serve, pool, cache and
+            # breaker series in one scrape.
             return 200, (
                 self.gateway.service.prometheus_metrics().encode("utf-8"),
                 "text/plain; version=0.0.4; charset=utf-8",

@@ -1,4 +1,4 @@
-"""The serving facade: one front door over router, pool, batcher and cache.
+"""The serving facade: one front door over router, pool and cache.
 
 This is the subsystem that turns the repo from a library into a service
 (§4–5 of the paper: serving the grown KG to production traffic).  Every
@@ -7,16 +7,21 @@ verification, similarity and k-NN — lands in one uniform dispatch::
 
     response = service.serve(request)   # any Request -> Response
 
-Scatter/gather, micro-batching and the versioned :class:`QueryCache` are
+Scatter/gather and the versioned :class:`QueryCache` are
 *per-request-type policies* (declared on the request classes in
 :mod:`repro.serving.requests`) instead of per-method code:
 
 * ``splittable`` requests scatter over the :class:`ShardRouter`, fan out
   across the :class:`WorkerPool` and gather back in request order;
-* single-text annotation rides the :class:`MicroBatcher` (cross-client
-  coalescing), multi-text batches chunk straight onto the pool;
+* annotation dispatches whole to the pool, a multi-text batch in chunks
+  of :data:`ANNOTATE_CHUNK_DOCS` texts, each chunk one cross-document
+  scoring pass on a worker;
 * ``cacheable()`` gates admission to the ``(store_version, request)``
   LRU — never-repeating requests (multi-text annotation) skip it.
+
+Each request computes on one snapshot generation: :meth:`serve` captures
+the pool (and router) once, and every compute step — the tenant overlay's
+shared base included — reads that captured pool, never the live one.
 
 Failures never leak tracebacks into the envelope: :meth:`serve` returns a
 structured error response (the original exception rides along in-process
@@ -47,7 +52,6 @@ from repro.annotation.mention import EntityLink
 from repro.common import tracing
 from repro.common.metrics import MetricsRegistry, render_prometheus
 from repro.kg.query_logs import QueryLogEntry
-from repro.serving.batcher import MicroBatcher
 from repro.serving.cache import QueryCache
 from repro.serving.protocol import error_response
 from repro.serving.requests import (
@@ -83,7 +87,9 @@ from repro.serving.worker import (
     WorkerPool,
 )
 
-FULL_TIER = "full"
+# Multi-text annotation dispatches in chunks of this many texts, each
+# chunk one cross-document scoring pass on one worker.
+ANNOTATE_CHUNK_DOCS = 16
 
 
 class PartialResultError(Exception):
@@ -122,10 +128,7 @@ class ServingService:
         mode: str = "inline",
         num_workers: int = 1,
         num_shards: int = DEFAULT_NUM_SHARDS,
-        tier: str = FULL_TIER,
         cache_capacity: int = 2048,
-        batch_max_docs: int = 16,
-        batch_max_delay_s: float = 0.005,
         worker_config: WorkerConfig | None = None,
         metrics: MetricsRegistry | None = None,
         resilient: bool = True,
@@ -136,7 +139,6 @@ class ServingService:
     ) -> None:
         if mode not in WORKER_MODES:
             raise ValueError(f"mode must be one of {WORKER_MODES}, got {mode!r}")
-        self.tier = tier
         self.num_shards = num_shards
         self.metrics = metrics or MetricsRegistry("serving")
         # resilient=False is the bare dispatch: no retries, no degradation,
@@ -154,23 +156,12 @@ class ServingService:
         self._shard_breakers: dict[int, CircuitBreaker] = {}
         self._pool: WorkerPool | None = None
         self._router: ShardRouter | None = None
-        # Bumped on every generation swap; serve() captures it up front
-        # and skips its cache write when a swap happened mid-request, so
-        # a result whose batched sub-work may have computed on the new
-        # fleet is never cached under the old version (see _adopt).
-        self._swap_epoch = 0
         self._worker_config = worker_config
         self._mode = mode
         self._num_workers = num_workers
-        self._batcher = MicroBatcher(
-            self._annotate_flush,
-            max_batch=batch_max_docs,
-            max_delay_s=batch_max_delay_s,
-            metrics=self.metrics,
-        )
         # Multi-tenant overlays: opt-in via tenants_dir.  The registry
-        # shares this service's metrics registry and is (re)bound to the
-        # live generation's CSR on every adopt.
+        # shares this service's metrics registry; each tenant read passes
+        # it the shared CSR of the generation the request captured.
         self._tenants: TenantRegistry | None = (
             TenantRegistry(
                 tenants_dir,
@@ -194,7 +185,6 @@ class ServingService:
             retry_policy=self.retry_policy,
         )
         previous, self._pool = self._pool, pool
-        self._swap_epoch += 1
         dictionary = pool.local_state.dictionary
         self._router = ShardRouter(
             self.num_shards,
@@ -202,10 +192,6 @@ class ServingService:
         )
         if previous is not None:
             previous.close()
-        if self._tenants is not None:
-            # Tenant overlays re-collapse lazily against the new base on
-            # their next read; the swap itself stays O(1) per tenant.
-            self._tenants.rebind_base(pool.local_state.engine.snapshot())
         # Structural invalidation: entries from other generations are
         # unreachable by key, and adopt_version frees their memory now.
         dropped = self._cache.adopt_version(pool.store_version)
@@ -223,14 +209,14 @@ class ServingService:
         ``store_version``.
 
         Requests racing the swap stay generation-consistent: each request
-        captures one (version, pool, router) triple up front, so its
-        results and cache writes all belong to a single generation — a
-        result computed on the old fleet can never be cached under the
-        new version.  A request that loses the race outright may fail
-        with ``RuntimeError`` when the old pool shuts down under it;
-        callers retry against the new generation.
+        captures one (version, pool, router) triple up front and computes
+        only on that pool — tenant reads collapse their overlay over the
+        captured pool's shared CSR — so its payload and cache write belong
+        to a single generation.  A write tagged with the old version after
+        the swap demotes to the stale store (:meth:`QueryCache.put`).  A
+        request whose captured pool shuts down under it re-dispatches on
+        the new generation (see :meth:`serve`).
         """
-        self._batcher.flush()
         self._adopt(Path(bundle_dir))
         return self.store_version
 
@@ -241,8 +227,7 @@ class ServingService:
         return self._pool.store_version
 
     def close(self) -> None:
-        """Drain pending annotation work and stop the workers."""
-        self._batcher.flush()
+        """Drop resident tenants and stop the workers."""
         if self._tenants is not None:
             self._tenants.close()
         if self._pool is not None:
@@ -309,7 +294,6 @@ class ServingService:
     ) -> Response:
         started = time.perf_counter()
         timings: dict[str, float] = {}
-        epoch = self._swap_epoch
         pool, router = self._pool, self._router
         assert pool is not None and router is not None
         version = pool.store_version
@@ -382,15 +366,7 @@ class ServingService:
                         request, pool, router, timings, resilience, tenant, state
                     )
             if cacheable:
-                if epoch == self._swap_epoch:
-                    self._cache.put(version, request, payload, tenant=tenant_key)
-                else:
-                    # A generation swap landed mid-request: parts of this
-                    # result (e.g. a micro-batched annotate flush, which
-                    # reads the live pool) may have computed on the new
-                    # fleet.  Skipping the write is always safe; the cache
-                    # itself also refuses cross-generation writes.
-                    self.metrics.incr("serve.swap_races")
+                self._cache.put(version, request, payload, tenant=tenant_key)
         except TenantNotFound as exc:
             return fail(ERROR_BAD_REQUEST, str(exc), exc)
         except Exception as exc:
@@ -488,15 +464,17 @@ class ServingService:
     ) -> list:
         """Compute one request's payload under its dispatch policy.
 
-        A tenant read answers over the leased ``state``'s overlay engine;
-        tenant writes apply to the tenant's durable store.  Neither ever
-        reaches the shared worker fleet.
+        A tenant read answers over the leased ``state``'s overlay on the
+        captured ``pool``'s shared CSR; tenant writes apply to the
+        tenant's durable store.  Neither ever reaches the shared worker
+        fleet.
         """
         if tenant is not None:
             registry = self._tenants
             with _stage(timings, "compute_ms", "serve.tenant", tenant=tenant):
                 if state is not None:
-                    return registry.execute_on(state.engine(registry.base()), request)
+                    base = pool.local_state.engine.snapshot()
+                    return registry.execute_on(state.engine(base), request)
                 if isinstance(request, TenantUpsertRequest):
                     return registry.upsert(tenant, request.records)
                 if isinstance(request, TenantSyncRequest):
@@ -713,14 +691,12 @@ class ServingService:
     def _execute_annotate(
         self, request: AnnotateRequest, pool: WorkerPool, timings: dict[str, float]
     ) -> list[list[EntityLink]]:
-        """Annotation policy: batcher for one text, chunked fan-out for many.
+        """Annotation policy: one pool call per chunk of texts.
 
-        A lone text rides the micro-batcher — concurrent callers' texts
-        coalesce into one cross-document scoring pass, and the calling
-        thread drains the queue so it never waits on the delay threshold.
-        Multi-text requests chunk at the micro-batch size and dispatch to
-        the pool concurrently; each worker scores its chunk as one batch.
-        Results come back in input order either way.
+        Up to :data:`ANNOTATE_CHUNK_DOCS` texts (a lone text included)
+        dispatch as one request; larger batches chunk and dispatch to the
+        pool concurrently, each worker scoring its chunk as one batch.
+        Results come back in input order.
         """
         with _stage(
             timings, "compute_ms", "serve.compute", texts=len(request.texts)
@@ -728,16 +704,8 @@ class ServingService:
             if not request.texts:
                 return []
             if len(request.texts) == 1:
-                if request.tier != self.tier:
-                    # The micro-batcher coalesces at the service's default
-                    # tier only; an off-tier single text dispatches direct
-                    # so the requested tier is honoured (and cached under
-                    # the right key).
-                    return pool.run(request)
-                future = self._batcher.submit(request.texts[0])
-                self._batcher.flush()
-                return [future.result()]
-            size = self._batcher.max_batch
+                return pool.run(request)
+            size = ANNOTATE_CHUNK_DOCS
             texts = list(request.texts)
             chunks = [texts[start : start + size] for start in range(0, len(texts), size)]
             chunk_results = pool.map(
@@ -748,29 +716,22 @@ class ServingService:
             )
             return [links for chunk in chunk_results for links in chunk]
 
-    def _annotate_flush(self, texts: list[str]) -> list[list[EntityLink]]:
-        """MicroBatcher sink: one pooled cross-document annotation call."""
-        pool = self._pool
-        assert pool is not None
-        return pool.run(AnnotateRequest(texts=tuple(texts), tier=self.tier))
-
     # -- cache warming ---------------------------------------------------------
 
     def warm(self, requests: Iterable[Request]) -> int:
-        """Pre-compute ``requests`` into the query cache; returns count served.
+        """Pre-compute ``requests`` into the query cache; returns count warmed.
 
-        Non-cacheable and already-cached requests are skipped.  Failed
-        requests are skipped too (warming must never take the service
-        down); they stay un-cached and will surface their error to the
-        first real caller.
+        Non-cacheable requests are skipped; an already-cached one is a
+        cache hit and does not count.  Failed requests do not count either
+        (warming must never take the service down); they stay un-cached
+        and will surface their error to the first real caller.
         """
         warmed = 0
         for request in requests:
             if not (isinstance(request, REQUEST_TYPES) and request.cacheable()):
                 continue
-            if self._cache.get(self.store_version, request) is not None:
-                continue
-            if self.serve(request).ok:
+            response = self.serve(request)
+            if response.ok and not response.cached:
                 warmed += 1
         self.metrics.incr("serve.cache_warmed", warmed)
         return warmed
@@ -838,7 +799,6 @@ class ServingService:
             "serve.cache_misses": float(cache.misses),
             "serve.cache_evictions": float(cache.evictions),
             "serve.cache_hit_rate": cache.hit_rate,
-            "serve.batch_pending": float(self._batcher.pending),
         }
         if self._tenants is not None:
             gauges["serve.tenants_resident"] = float(self._tenants.resident_count())
@@ -900,7 +860,7 @@ class ServingService:
     def prometheus_metrics(self) -> str:
         """This service's registry as Prometheus text exposition.
 
-        The shared registry (serve/pool/cache/batcher/breaker counters
+        The shared registry (serve/pool/cache/breaker counters
         and histograms) renders directly; point-in-time state the
         registry does not hold — the :meth:`gauges` catalogue, plus
         per-breaker state as one-hot series — rides along as extra

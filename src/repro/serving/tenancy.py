@@ -382,7 +382,6 @@ class TenantRegistry:
         self,
         tenants_dir: str | Path,
         *,
-        base: CSRAdjacency | None = None,
         max_resident: int = 32,
         compact_every: int = 8,
         verify: bool = True,
@@ -396,28 +395,9 @@ class TenantRegistry:
         self.compact_every = compact_every
         self.verify = verify
         self.metrics = metrics or MetricsRegistry("tenants")
-        self._base = base
         self._lock = threading.RLock()
         self._resident: OrderedDict[str, _Slot] = OrderedDict()
         self.evictions = 0
-
-    # -- shared base -------------------------------------------------------
-
-    def rebind_base(self, base: CSRAdjacency) -> None:
-        """Adopt a new shared-generation CSR (zero-downtime swap hook).
-
-        Resident overlays are not eagerly rebuilt: each tenant's next read
-        re-collapses lazily against the new base.  Append-only ids keep
-        the splice valid across generations — pinned by test.
-        """
-        with self._lock:
-            self._base = base
-
-    def base(self) -> CSRAdjacency:
-        base = self._base
-        if base is None:
-            raise TenantError("registry has no shared base bound")
-        return base
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -573,10 +553,6 @@ class TenantRegistry:
         self._release(tenant_id, state)
         return state
 
-    def create(self, tenant_id: str) -> TenantState:
-        """Create (or attach) ``tenant_id``."""
-        return self.get(tenant_id, create=True)
-
     def evict(self, tenant_id: str) -> bool:
         """Drop a tenant from residency (state stays durable on disk).
 
@@ -605,14 +581,15 @@ class TenantRegistry:
 
     # -- request serving ---------------------------------------------------
 
-    def execute_read(self, tenant_id: str, request) -> list:
+    def execute_read(self, tenant_id: str, request, base: CSRAdjacency) -> list:
         """Answer a walk/neighborhood request over the tenant's overlay.
 
-        The base is captured once per call, so a concurrent shared swap
-        yields either the old or the new generation consistently — never
-        a mix.
+        ``base`` is the shared-generation CSR to read through.  The
+        registry holds none of its own: the caller names the generation,
+        so a concurrent shared swap can never mix two into one answer.
+        Overlays collapsed over an older base rebuild on the next read
+        (append-only ids keep the splice valid across generations).
         """
-        base = self.base()
         with self.lease(tenant_id) as state:
             return self.execute_on(state.engine(base), request)
 

@@ -79,37 +79,6 @@ class TestCounters:
         assert cache.evictions == 1
 
 
-class TestWarming:
-    def test_warm_inserts_entries(self):
-        cache = QueryCache(capacity=8)
-        entries = [(walk(i), f"r{i}") for i in range(3)]
-        assert cache.warm(5, entries) == 3
-        assert len(cache) == 3
-        assert cache.get(5, walk(1)) == "r1"
-
-    def test_warm_applies_admission_policy(self):
-        from repro.serving.requests import AnnotateRequest
-
-        cache = QueryCache(capacity=8)
-        admitted = cache.warm(
-            1,
-            [
-                (AnnotateRequest(texts=("a", "b")), "batch"),  # non-cacheable
-                (AnnotateRequest(texts=("a",)), "single"),
-                (walk(0), "walks"),
-            ],
-        )
-        assert admitted == 2
-        assert cache.get(1, AnnotateRequest(texts=("a", "b"))) is None
-        assert cache.get(1, AnnotateRequest(texts=("a",))) == "single"
-
-    def test_warm_entries_age_out_like_any_other(self):
-        cache = QueryCache(capacity=2)
-        cache.warm(1, [(walk(0), "a"), (walk(1), "b"), (walk(2), "c")])
-        assert len(cache) == 2
-        assert cache.get(1, walk(0)) is None  # evicted by the warm overrun
-
-
 class TestThreadSafety:
     def test_concurrent_mixed_traffic(self):
         cache = QueryCache(capacity=64)

@@ -1,6 +1,7 @@
 """Live growth on the serving side: watcher swaps + the cache swap race."""
 
 import threading
+from contextlib import contextmanager
 
 import pytest
 
@@ -9,11 +10,18 @@ from repro.kg import SyntheticKGConfig, generate_kg
 from repro.kg.deltas import GenerationPublisher
 from repro.serving.cache import QueryCache
 from repro.serving.growth import GenerationWatcher
-from repro.serving.requests import NeighborhoodRequest
+from repro.serving.requests import (
+    AnnotateRequest,
+    NeighborhoodRequest,
+    PersonalRecord,
+    TenantUpsertRequest,
+)
 from repro.serving.service import ServingService
+from repro.serving.worker import WorkerState
 from repro.kg.triple import entity_fact
 
 RELATED = ids.predicate_id("related_to")
+PERSON = ids.entity_id("personal/person-0000")
 
 
 @pytest.fixture()
@@ -129,6 +137,101 @@ class TestSwapCacheRace:
         assert not mismatches, mismatches[:5]
         assert not failures, failures[:5]
         assert service.store_version == publisher.tip_version
+
+
+class TestSwapBetweenCaptureAndCompute:
+    """A generation swap landing after ``serve()`` captured its pool but
+    before the compute: the payload must be the answer of the generation
+    the envelope names, never the next one's."""
+
+    def test_tenant_read_computes_on_the_captured_generation(
+        self, growing_world, tmp_path, monkeypatch
+    ):
+        store, publisher, bundle, _service = growing_world
+        pivot = sorted(store.entity_ids())[0]
+        request = NeighborhoodRequest(entities=(pivot,), hops=1)
+        record = PersonalRecord(
+            record_id="c1",
+            source="contacts",
+            fields=(("first_name", "Ada"), ("linked_entity", pivot)),
+            sequence=1,
+        )
+
+        def expected_hood() -> list[str]:
+            # The tenant sees the shared neighbours plus its linked person.
+            return sorted({*store.neighbors(pivot), PERSON})
+
+        with ServingService(
+            bundle, mode="inline", num_shards=2, tenants_dir=tmp_path / "tenants"
+        ) as service:
+            assert service.serve(TenantUpsertRequest(records=(record,)), tenant="ada").ok
+            registry = service._tenants
+            lease = registry.lease
+            captured = service.store_version
+            expected = {captured: expected_hood()}
+
+            @contextmanager
+            def lease_then_swap(tenant_id, **kwargs):
+                with lease(tenant_id, **kwargs) as state:
+                    if len(expected) == 1:
+                        _grow(store, publisher, 0)
+                        expected[service.adopt_generation(bundle)] = expected_hood()
+                    yield state
+
+            monkeypatch.setattr(registry, "lease", lease_then_swap)
+            raced = service.serve(request, tenant="ada")
+            assert raced.ok
+            assert len(set(map(tuple, expected.values()))) == 2
+            assert raced.store_version == captured
+            assert raced.payload[0] == expected[captured]
+            # The next read computes afresh on the new generation.
+            after = service.serve(request, tenant="ada")
+            assert after.ok and not after.cached
+            assert after.store_version == service.store_version != captured
+            assert after.payload[0] == expected[after.store_version]
+
+    def test_single_text_annotate_matches_its_envelope_generation(
+        self, growing_world, monkeypatch
+    ):
+        store, publisher, bundle, service = growing_world
+        first, second = sorted(store.entity_ids())[:2]
+        # _grow(…, 0) links these two, which moves both mentions' scores.
+        text = f"{store.entity(first).name} met {store.entity(second).name}."
+        request = AnnotateRequest(texts=(text,))
+
+        def expected_links() -> list[tuple]:
+            links = WorkerState(bundle).pipeline(request.tier).annotate_batch([text])
+            return _link_rows(links[0])
+
+        expected = {service.store_version: expected_links()}
+        cache = service._cache
+        probe = cache.get
+
+        def probe_then_swap(version, key, tenant=None):
+            value = probe(version, key, tenant=tenant)
+            if len(expected) == 1:
+                _grow(store, publisher, 0)
+                expected[service.adopt_generation(bundle)] = expected_links()
+            return value
+
+        monkeypatch.setattr(cache, "get", probe_then_swap)
+        raced = service.serve(request)
+        assert raced.ok
+        assert len(set(map(tuple, expected.values()))) == 2
+        assert _link_rows(raced.payload[0]) == expected[raced.store_version]
+        # The swap closed the captured pool, so the request re-dispatched
+        # on the new generation and cached its answer there.
+        assert raced.store_version == service.store_version
+        assert service.stats()["counter.serve.swap_retries"] == 1.0
+        again = service.serve(request)
+        assert again.cached and again.payload == raced.payload
+
+
+def _link_rows(links) -> list[tuple]:
+    return [
+        (link.mention.start, link.mention.end, link.entity, link.score)
+        for link in links
+    ]
 
 
 class TestQueryCacheSwapGuard:

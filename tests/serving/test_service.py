@@ -262,10 +262,9 @@ class TestServeDispatch:
 
 class TestAnnotationTiers:
     def test_single_text_honours_request_tier(self, bundle_dir, sample_texts):
-        """A single-text request at a non-default tier must bypass the
-        (default-tier) micro-batcher and be served — and cached — at the
-        tier it asked for."""
-        with ServingService(bundle_dir, tier="full") as svc:
+        """A single-text request at a non-default tier is served — and
+        cached — at the tier it asked for."""
+        with ServingService(bundle_dir) as svc:
             text = sample_texts[0]
             lite_pipeline = svc._pool.local_state.snapshot.annotation_pipeline(
                 tier="lite"
@@ -320,6 +319,16 @@ class TestCacheWarming:
             assert all(svc.serve(r).cached for r in requests)
             # A second warm pass finds everything cached already.
             assert svc.warm(requests) == 0
+
+    def test_warm_counts_one_miss_per_fresh_request(self, bundle_dir, seed_entities):
+        with ServingService(bundle_dir) as svc:
+            requests = [
+                NeighborhoodRequest(entities=(entity,), hops=1)
+                for entity in seed_entities[:10]
+            ]
+            assert svc.warm(requests) == len(requests)
+            assert svc._cache.misses == len(requests)
+            assert svc._cache.hits == 0
 
     def test_warm_skips_non_cacheable(self, bundle_dir, sample_texts):
         with ServingService(bundle_dir) as svc:

@@ -58,8 +58,7 @@ def shared_world():
 
 
 def make_registry(tmp_path, shared_world, name="tenants", **kwargs):
-    _kg, base, _entities = shared_world
-    return TenantRegistry(tmp_path / name, base=base, **kwargs)
+    return TenantRegistry(tmp_path / name, **kwargs)
 
 
 def populate(registry, entities, tenant_nos) -> dict[str, str]:
@@ -75,13 +74,13 @@ def populate(registry, entities, tenant_nos) -> dict[str, str]:
 
 class TestRegistryIsolation:
     def test_eight_tenants_never_see_each_other(self, tmp_path, shared_world):
-        _kg, _base, entities = shared_world
+        _kg, base, entities = shared_world
         registry = make_registry(tmp_path, shared_world)
         targets = populate(registry, entities, range(8))
         assert len(set(targets.values())) == 8
         for tenant, target in targets.items():
             hood = registry.execute_read(
-                tenant, NeighborhoodRequest(entities=(PERSON,), hops=1)
+                tenant, NeighborhoodRequest(entities=(PERSON,), hops=1), base
             )[0]
             assert target in hood
             leaked = set(hood) & (set(targets.values()) - {target})
@@ -90,7 +89,7 @@ class TestRegistryIsolation:
     def test_byte_identical_to_single_tenant_run(self, tmp_path, shared_world):
         """A tenant sharing the registry with 7 others answers exactly as
         it would alone — the multiplexing is invisible to results."""
-        _kg, _base, entities = shared_world
+        _kg, base, entities = shared_world
         fleet = make_registry(tmp_path, shared_world, name="fleet")
         populate(fleet, entities, range(8))
         solo = make_registry(tmp_path, shared_world, name="solo")
@@ -100,18 +99,19 @@ class TestRegistryIsolation:
             entities=(PERSON,), walk_length=6, walks_per_entity=4, seed=41
         )
         hood = NeighborhoodRequest(entities=(PERSON,), hops=2)
-        assert fleet.execute_read("tenant-03", walk) == solo.execute_read(
-            "tenant-03", walk
+        assert fleet.execute_read("tenant-03", walk, base) == solo.execute_read(
+            "tenant-03", walk, base
         )
-        assert fleet.execute_read("tenant-03", hood) == solo.execute_read(
-            "tenant-03", hood
+        assert fleet.execute_read("tenant-03", hood, base) == solo.execute_read(
+            "tenant-03", hood, base
         )
 
     def test_unknown_tenant_raises(self, tmp_path, shared_world):
+        _kg, base, _entities = shared_world
         registry = make_registry(tmp_path, shared_world)
         with pytest.raises(TenantNotFound):
             registry.execute_read(
-                "nobody", NeighborhoodRequest(entities=(PERSON,), hops=1)
+                "nobody", NeighborhoodRequest(entities=(PERSON,), hops=1), base
             )
 
     def test_sync_round_trip_and_dp_count(self, tmp_path, shared_world):
@@ -137,7 +137,7 @@ class TestRegistryIsolation:
     def test_delete_tombstone_suppresses_and_lww_resurrects(
         self, tmp_path, shared_world
     ):
-        _kg, _base, entities = shared_world
+        _kg, base, entities = shared_world
         registry = make_registry(tmp_path, shared_world)
         registry.upsert("t", [canary_record(5, entities[5])])
         assert registry.delete("t", "contacts", "c005")["deleted"]
@@ -149,14 +149,14 @@ class TestRegistryIsolation:
         result = registry.upsert("t", [canary_record(5, entities[5], sequence=9)])
         assert result["applied"] == 1
         hood = registry.execute_read(
-            "t", NeighborhoodRequest(entities=(PERSON,), hops=1)
+            "t", NeighborhoodRequest(entities=(PERSON,), hops=1), base
         )[0]
         assert entities[5] in hood
 
 
 class TestRegistryLifecycle:
     def test_lru_eviction_and_cold_reattach(self, tmp_path, shared_world):
-        _kg, _base, entities = shared_world
+        _kg, base, entities = shared_world
         registry = make_registry(tmp_path, shared_world, max_resident=2)
         targets = populate(registry, entities, range(4))
         assert registry.resident_count() == 2
@@ -167,19 +167,19 @@ class TestRegistryLifecycle:
         state = registry.get("tenant-00")
         assert state.records[("contacts", "c000")].fields["first_name"] == "Canary00"
         hood = registry.execute_read(
-            "tenant-00", NeighborhoodRequest(entities=(PERSON,), hops=1)
+            "tenant-00", NeighborhoodRequest(entities=(PERSON,), hops=1), base
         )[0]
         assert targets["tenant-00"] in hood
 
     def test_crash_safe_reload_preserves_everything(self, tmp_path, shared_world):
-        _kg, _base, entities = shared_world
+        _kg, base, entities = shared_world
         first = make_registry(tmp_path, shared_world)
         first.upsert("durable", [canary_record(2, entities[2])])
         first.upsert("durable", [canary_record(7, entities[7])])
         first.delete("durable", "contacts", "c007")
         version = first.tenant_version("durable")
         answer = first.execute_read(
-            "durable", NeighborhoodRequest(entities=(PERSON,), hops=1)
+            "durable", NeighborhoodRequest(entities=(PERSON,), hops=1), base
         )
         first.close()  # simulated crash: only the durable bundles remain
 
@@ -190,7 +190,7 @@ class TestRegistryLifecycle:
         assert state.tombstones[("contacts", "c007")] == 1
         assert (
             second.execute_read(
-                "durable", NeighborhoodRequest(entities=(PERSON,), hops=1)
+                "durable", NeighborhoodRequest(entities=(PERSON,), hops=1), base
             )
             == answer
         )
@@ -266,11 +266,13 @@ class TestRegistryLifecycle:
                 registry.get(bad, create=True)
             assert not registry.exists(bad)
 
-    def test_rebind_base_picks_up_grown_shared_graph(self, tmp_path):
+    def test_execute_read_picks_up_a_grown_base(self, tmp_path):
         kg = generate_kg(SyntheticKGConfig(seed=29, scale=0.05))
         entities = sorted(kg.store.entity_ids())
-        registry = TenantRegistry(tmp_path / "tenants", base=build_csr(kg.store))
+        registry = TenantRegistry(tmp_path / "tenants")
         registry.upsert("grower", [canary_record(0, entities[0])])
+        person_hood = NeighborhoodRequest(entities=(PERSON,), hops=2)
+        hood1 = registry.execute_read("grower", person_hood, build_csr(kg.store))[0]
 
         newcomer = ids.entity_id("grown/swap-witness")
         kg.store.upsert_entity(EntityRecord(entity=newcomer, name="Witness"))
@@ -279,12 +281,10 @@ class TestRegistryLifecycle:
                 newcomer, ids.predicate_id("knows"), entities[0], sources=("g",)
             )
         )
-        registry.rebind_base(build_csr(kg.store))
-        hood2 = registry.execute_read(
-            "grower", NeighborhoodRequest(entities=(PERSON,), hops=2)
-        )[0]
+        hood2 = registry.execute_read("grower", person_hood, build_csr(kg.store))[0]
         # Two hops from the person: canary link, then the *new* shared
-        # edge published after the tenant was created.
+        # edge, absent from the overlay built over the first base.
+        assert newcomer not in hood1
         assert newcomer in hood2
 
 
@@ -627,7 +627,7 @@ class TestMergedPipeline:
         for key in (
             "serve.store_version", "serve.workers", "serve.shards",
             "serve.cache_entries", "serve.cache_hits", "serve.cache_misses",
-            "serve.cache_evictions", "serve.cache_hit_rate", "serve.batch_pending",
+            "serve.cache_evictions", "serve.cache_hit_rate",
             "serve.tenants_resident", "serve.tenants_evictions",
             "serve.mode", "serve.p50_s", "serve.p95_s",
         ):
@@ -635,7 +635,7 @@ class TestMergedPipeline:
         for key in (
             "serve.store_version", "serve.cache_entries", "serve.cache_hits",
             "serve.cache_misses", "serve.cache_evictions", "serve.workers",
-            "serve.live_workers", "serve.shards", "serve.batch_pending",
+            "serve.live_workers", "serve.shards",
             "serve.tenants_resident",
         ):
             assert f"kg_{key.replace('.', '_')}" in series, key
